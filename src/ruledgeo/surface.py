@@ -9,7 +9,9 @@ of invariants (k, delta, sigma) via moving-frame integration.
 
 import json
 import math
+import numbers
 import random
+from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
@@ -115,8 +117,10 @@ class CurveR3:
 
 
 def _gauge_residuals(striction, director, us):
-    """Worst standard-form residuals over the sample points."""
-    worst = {"unit_e": 0.0, "unit_ep": 0.0, "orth": 0.0, "min_abs_delta": math.inf}
+    """Worst standard-form residuals over the sample points, and the
+    signed parameter of distribution at each of them."""
+    worst = {"unit_e": 0.0, "unit_ep": 0.0, "orth": 0.0}
+    deltas = []
     for u in us:
         e = director.eval(u)
         s = striction.eval(u)
@@ -126,9 +130,26 @@ def _gauge_residuals(striction, director, us):
         worst["unit_e"] = max(worst["unit_e"], abs(math.hypot(*ev) - 1.0))
         worst["unit_ep"] = max(worst["unit_ep"], abs(math.hypot(*epv) - 1.0))
         worst["orth"] = max(worst["orth"], abs(jets.dot(spv, epv)))
-        delta = jets.triple(ev, epv, spv)
-        worst["min_abs_delta"] = min(worst["min_abs_delta"], abs(delta))
-    return worst
+        deltas.append(jets.triple(ev, epv, spv))
+    worst["min_abs_delta"] = min(map(abs, deltas), default=math.inf)
+    return worst, deltas
+
+
+def _skew_gate(us, deltas, tol):
+    """Raise `NonSkew` where delta is within `tol` of 0 at a sample or
+    changes sign between two neighbouring samples."""
+    i = min(range(len(deltas)), key=lambda j: abs(deltas[j]))
+    if not abs(deltas[i]) > tol:
+        raise NonSkew(
+            f"parameter of distribution ~ {abs(deltas[i]):.3e} at u = {us[i]}; "
+            "surface is torsal there"
+        )
+    for j in range(len(deltas) - 1):
+        if (deltas[j] > 0.0) != (deltas[j + 1] > 0.0):
+            raise NonSkew(
+                f"parameter of distribution changes sign between u = {us[j]} "
+                f"and u = {us[j + 1]}; surface is torsal in between"
+            )
 
 
 class StandardRuledSurface:
@@ -146,7 +167,7 @@ class StandardRuledSurface:
         self.label = label
         if check:
             us = np.linspace(self.domain[0], self.domain[1], n_check)
-            worst = _gauge_residuals(striction, director, us)
+            worst, deltas = _gauge_residuals(striction, director, us)
             problems = []
             if worst["unit_e"] > TOL_UNIT_E:
                 problems.append(f"| |e|-1 | = {worst['unit_e']:.3e}")
@@ -159,11 +180,7 @@ class StandardRuledSurface:
                     "not in standard form: " + ", ".join(problems)
                     + " (use standardize() for general input)"
                 )
-            if worst["min_abs_delta"] < TOL_SKEW:
-                raise NonSkew(
-                    f"parameter of distribution ~ {worst['min_abs_delta']:.3e}; "
-                    "surface is torsal somewhere on the domain"
-                )
+            _skew_gate(us, deltas, TOL_SKEW)
 
     def jets(self, u):
         """(striction jets, director jets) at u."""
@@ -181,7 +198,7 @@ class StandardRuledSurface:
             us = np.linspace(lo, hi, n)
         else:
             us = np.array([rng.uniform(lo, hi) for _ in range(n)])
-        return _gauge_residuals(self.striction, self.director, us)
+        return _gauge_residuals(self.striction, self.director, us)[0]
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
@@ -207,20 +224,42 @@ def _as_profile(p):
     raise TypeError(f"cannot interpret profile {p!r}")
 
 
+class ProfileGrid(NamedTuple):
+    """Invariant profiles on the uniform grid u_i = lo + i h, i = 0..n.
+
+    Node arrays (n + 1 entries) hold k, delta, lambda and their first
+    derivatives; the midpoint arrays (n entries) hold values at u_i + h/2.
+    """
+
+    u: np.ndarray
+    k: np.ndarray
+    dk: np.ndarray
+    delta: np.ndarray
+    ddelta: np.ndarray
+    lam: np.ndarray
+    dlam: np.ndarray
+    k_mid: np.ndarray
+    delta_mid: np.ndarray
+    lam_mid: np.ndarray
+
+
 class InvariantTriple:
     """Complete invariant system (k, delta, sigma) of a skew ruled surface.
 
     Profiles are callables of u usable with floats (values) and jets
     (derivatives). sigma lies in (-pi/2, pi/2] and carries the sign of
     delta wherever lambda = cot(sigma) is nonzero; lambda is available
-    directly via `lam` to avoid trigonometric branch loss.
+    directly via `lam` to avoid trigonometric branch loss. `splines`,
+    when given, are the (k, delta, sigma) `CubicSpline`s the profiles
+    interpolate; `grid` then evaluates them on whole arrays.
     """
 
-    def __init__(self, k_fn, delta_fn, lam_fn, sigma_fn, domain):
+    def __init__(self, k_fn, delta_fn, lam_fn, sigma_fn, domain, splines=None):
         self._k = k_fn
         self._delta = delta_fn
         self._lam = lam_fn
         self._sigma = sigma_fn
+        self._splines = splines
         self.domain = (float(domain[0]), float(domain[1]))
         self._validate()
 
@@ -253,36 +292,32 @@ class InvariantTriple:
         if not np.all(np.diff(u) > 0):
             raise SpecFormatError("u samples must be strictly increasing")
 
-        def spline_profile(values):
-            sp = CubicSpline(u, np.asarray(values, dtype=float))
-            d1, d2, d3 = sp.derivative(1), sp.derivative(2), sp.derivative(3)
-
+        def spline_profile(sp):
             def fn(x):
                 if isinstance(x, Jet2):
-                    outer = Jet2(
-                        float(sp(x.value)), float(d1(x.value)),
-                        float(d2(x.value)), float(d3(x.value)),
-                    )
+                    outer = Jet2(*(float(sp(x.value, nu)) for nu in range(4)))
                     return jets.compose(outer, x)
                 return float(sp(x))
 
             return fn
 
-        k_fn = spline_profile(k)
-        d_fn = spline_profile(delta)
-        sig_fn = spline_profile(sigma)
+        splines = tuple(
+            CubicSpline(u, np.asarray(values, dtype=float)) for values in (k, delta, sigma)
+        )
+        k_fn, d_fn, sig_fn = map(spline_profile, splines)
         lam_fn = lambda x: jets.cos(sig_fn(x)) / jets.sin(sig_fn(x))
-        return cls(k_fn, d_fn, lam_fn, sig_fn, (u[0], u[-1]))
+        return cls(k_fn, d_fn, lam_fn, sig_fn, (u[0], u[-1]), splines)
 
     def _validate(self, n=64):
-        for u in np.linspace(self.domain[0], self.domain[1], n):
-            d = self.delta(u)
-            s = self.sigma(u)
-            lam = self.lam(u)
-            if not all(map(math.isfinite, (d, s, lam, self.k(u)))):
+        us = np.linspace(self.domain[0], self.domain[1], n)
+        samples = [
+            (self.k(u), self.delta(u), self.sigma(u), self.lam(u)) for u in us
+        ]
+        for u, values in zip(us, samples):
+            if not all(map(math.isfinite, values)):
                 raise InvalidSigma(f"non-finite invariant at u = {u}")
-            if d == 0.0:
-                raise NonSkew(f"delta(u) = 0 at u = {u}")
+        _skew_gate(us, [d for _, d, _, _ in samples], 0.0)
+        for u, (_, d, s, lam) in zip(us, samples):
             if not (-math.pi / 2.0 < s <= math.pi / 2.0 + 1e-12):
                 raise InvalidSigma(f"sigma(u) = {s} outside (-pi/2, pi/2] at u = {u}")
             # sign sigma = sign delta; vacuous at the sigma = pi/2 boundary
@@ -312,6 +347,33 @@ class InvariantTriple:
 
     def lam_jet(self, u):
         return jets.as_jet(self._lam(jets.variable(u)))
+
+    def grid(self, lo, hi, n):
+        """`ProfileGrid` of the n-step uniform grid on [lo, hi].
+
+        Spline profiles are evaluated on whole arrays; other profiles take
+        one jet per node and one value per midpoint.
+        """
+        h = (hi - lo) / n
+        us = lo + h * np.arange(n + 1)
+        um = us[:-1] + 0.5 * h
+        if self._splines is not None:
+            k, d, sig = self._splines
+            s = sig(us)
+            sin_s = np.sin(s)
+            sm = sig(um)
+            return ProfileGrid(
+                us, k(us), k(us, 1), d(us), d(us, 1),
+                np.cos(s) / sin_s, -sig(us, 1) / (sin_s * sin_s),
+                k(um), d(um), np.cos(sm) / np.sin(sm),
+            )
+        nodes = np.array([
+            [x for jet in (self.k_jet(u), self.delta_jet(u), self.lam_jet(u))
+             for x in (jet.value, jet.d1)]
+            for u in us.tolist()
+        ])
+        mids = np.array([(self.k(u), self.delta(u), self.lam(u)) for u in um.tolist()])
+        return ProfileGrid(us, *nodes.T, *mids.T)
 
 
 # moving-frame integration -----------------------------------------------------
@@ -362,19 +424,68 @@ class _DenseFrameSolution:
         return tuple(out)
 
 
-def _frame_rhs(u, y, inv):
-    """Derivative of (e1, e2, e3, s) under e1' = e2, e2' = -e1 + k e3,
-    e3' = -k e2, s' = delta (lam e1 + e3)."""
-    k = inv.k(u)
-    d = inv.delta(u)
-    lam = inv.lam(u)
-    dl = d * lam
-    return (
-        y[3], y[4], y[5],
-        -y[0] + k * y[6], -y[1] + k * y[7], -y[2] + k * y[8],
-        -k * y[3], -k * y[4], -k * y[5],
-        dl * y[0] + d * y[6], dl * y[1] + d * y[7], dl * y[2] + d * y[8],
-    )
+def _generators(k, delta, lam, out):
+    """Fill `out[i]` with the matrix A(u_i) of Y' = A Y, Y the 4x3 matrix
+    with rows (e1, e2, e3, s): e1' = e2, e2' = -e1 + k e3, e3' = -k e2,
+    s' = delta (lam e1 + e3). Entries outside that pattern are left as
+    they are, so `out` starts as zeros and can then be refilled."""
+    out[:, 0, 1] = 1.0
+    out[:, 1, 0] = -1.0
+    out[:, 1, 2] = k
+    np.negative(k, out=out[:, 2, 1])
+    np.multiply(delta, lam, out=out[:, 3, 0])
+    out[:, 3, 2] = delta
+    return out
+
+
+def _propagate_frame(inv, lo, hi, n_steps, frame0, s0):
+    """RK4 states of the frame system on the n_steps-step uniform grid.
+
+    Returns the `ProfileGrid` and Y, shape (n_steps + 1, 4, 3), rows
+    (e1, e2, e3, s) of each node. The system is linear, so each classical
+    RK4 step is the matrix M_i = I + h/6 (A1 + 2 P2 + 2 P3 + P4) with
+    P2 = Am (I + h/2 A1), P3 = Am (I + h/2 P2), P4 = A4 (I + h P3), and
+    A1, Am, A4 the generator at the step's start, midpoint and end. All
+    M_i are formed at once and the state is propagated by Y_{i+1} = M_i Y_i.
+    """
+    h = (hi - lo) / n_steps
+    if h <= 0.0 or not math.isfinite(h):
+        raise IntegrationFailure("step underflow in frame integration")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g = inv.grid(lo, hi, n_steps)
+        a = _generators(g.k[:-1], g.delta[:-1], g.lam[:-1], np.zeros((n_steps, 4, 4)))
+        am = _generators(g.k_mid, g.delta_mid, g.lam_mid, np.zeros_like(a))
+        m = a.copy()                    # accumulates A1 + 2 P2 + 2 P3 + P4
+        p = np.matmul(am, a)
+        p *= 0.5 * h
+        p += am                         # P2
+        m += p
+        m += p
+        np.matmul(am, p, out=a)
+        a *= 0.5 * h
+        a += am                         # P3
+        m += a
+        m += a
+        _generators(g.k[1:], g.delta[1:], g.lam[1:], am)  # A4
+        np.matmul(am, a, out=p)
+        p *= h
+        p += am                         # P4
+        m += p
+        del a, am, p                    # free before the states are allocated
+        m *= h / 6.0
+        m[:, range(4), range(4)] += 1.0
+
+        y = np.empty((n_steps + 1, 4, 3))
+        y[0, :3] = frame0
+        y[0, 3] = s0
+        for i in range(n_steps):
+            np.matmul(m[i], y[i], out=y[i + 1])
+    bad = np.flatnonzero(~np.isfinite(y).all(axis=(1, 2)))
+    if bad.size:
+        raise IntegrationFailure(
+            f"non-finite state during frame integration at u = {g.u[bad[0]]}"
+        )
+    return g, y
 
 
 def surface_from_invariants(inv, frame0=None, s0=None, domain=None, n_steps=4096):
@@ -399,57 +510,22 @@ def surface_from_invariants(inv, frame0=None, s0=None, domain=None, n_steps=4096
         raise ValueError("frame0 rows must satisfy e3 = e1 x e2")
     s0 = np.zeros(3) if s0 is None else np.asarray(s0, dtype=float)
 
-    h = (hi - lo) / n_steps
-    if h <= 0.0 or not math.isfinite(h):
-        raise IntegrationFailure("step underflow in frame integration")
+    g, y = _propagate_frame(inv, lo, hi, n_steps, frame0, s0)
 
-    y = list(frame0.reshape(-1)) + list(s0)
-    states = [tuple(y)]
-    u = lo
-    for step in range(n_steps):
-        u = lo + step * h
-        k1 = _frame_rhs(u, y, inv)
-        y2 = [y[j] + 0.5 * h * k1[j] for j in range(12)]
-        k2 = _frame_rhs(u + 0.5 * h, y2, inv)
-        y3 = [y[j] + 0.5 * h * k2[j] for j in range(12)]
-        k3 = _frame_rhs(u + 0.5 * h, y3, inv)
-        y4 = [y[j] + h * k3[j] for j in range(12)]
-        k4 = _frame_rhs(u + h, y4, inv)
-        y = [
-            y[j] + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-            for j in range(12)
-        ]
-        states.append(tuple(y))
-    ys = np.array(states)
-    if not np.all(np.isfinite(ys)):
-        raise IntegrationFailure("non-finite state during frame integration")
-
-    us = lo + h * np.arange(n_steps + 1)
-    yp = np.empty_like(ys)
-    ypp = np.empty_like(ys)
-    for i, ui in enumerate(us):
-        yi = ys[i]
-        yp[i] = _frame_rhs(ui, yi, inv)
-        kj = inv.k_jet(ui)
-        dj = inv.delta_jet(ui)
-        lj = inv.lam_jet(ui)
-        k, kp = kj.value, kj.d1
-        d, dp = dj.value, dj.d1
-        lam, lamp = lj.value, lj.d1
-        e1 = yi[0:3]
-        e2 = yi[3:6]
-        e3 = yi[6:9]
-        for j in range(3):
-            ypp[i, j] = -e1[j] + k * e3[j]                      # e1'' = e2'
-            ypp[i, 3 + j] = -(1.0 + k * k) * e2[j] + kp * e3[j]  # e2''
-            ypp[i, 6 + j] = k * e1[j] - kp * e2[j] - k * k * e3[j]
-            ypp[i, 9 + j] = (
-                (dp * lam + d * lamp) * e1[j] + (d * lam - d * k) * e2[j] + dp * e3[j]
-            )
-
-    sol = _DenseFrameSolution(us, ys, yp, ypp)
+    # Dense output of the director e1 and the striction line s only:
+    # y' = A y and y'' = (A' + A^2) y on their rows.
+    e1, e2, e3, s = y.swapaxes(0, 1)
+    k, d, lam = (col[:, None] for col in (g.k, g.delta, g.lam))
+    dp, lamp = g.ddelta[:, None], g.dlam[:, None]
+    dense = np.concatenate([e1, s], axis=1)
+    dense_p = np.concatenate([e2, d * lam * e1 + d * e3], axis=1)
+    dense_pp = np.concatenate(
+        [-e1 + k * e3, (dp * lam + d * lamp) * e1 + (d * lam - d * k) * e2 + dp * e3],
+        axis=1,
+    )
+    sol = _DenseFrameSolution(g.u, dense, dense_p, dense_pp)
     director = CurveR3(lambda uq: sol.eval_jets(uq, 0, 3), (lo, hi), "director")
-    striction = CurveR3(lambda uq: sol.eval_jets(uq, 9, 12), (lo, hi), "striction")
+    striction = CurveR3(lambda uq: sol.eval_jets(uq, 3, 6), (lo, hi), "striction")
     return StandardRuledSurface(striction, director, (lo, hi))
 
 
@@ -584,6 +660,14 @@ def _req(cond, msg):
         raise ParamOutOfRange(msg)
 
 
+def _is_finite(x):
+    """False for NaN, +-inf and integers beyond the float range."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _right_helicoid(c=1.0, domain=DEFAULT_DOMAIN):
     # (k, delta, lambda) = (0, c, 0)
     _req(c != 0.0, "right_helicoid: need c != 0")
@@ -665,6 +749,8 @@ def _conoidal_const_delta(alpha=2.0, beta=1.0, domain=DEFAULT_DOMAIN):
 def _generic_skew(seed=0, domain=DEFAULT_DOMAIN, n_steps=4096):
     # Deterministic negative control: k, lambda, delta all vary, delta' != 0,
     # k lambda + 1 bounded away from 0.
+    _req(isinstance(seed, numbers.Real) and float(seed).is_integer(),
+         f"generic_skew: need an integral seed, got {seed!r}")
     rng = random.Random(int(seed))
     a0 = rng.uniform(0.6, 1.1)
     a1 = rng.uniform(0.15, 0.35)
@@ -711,8 +797,17 @@ def gallery(name, params=None, **kwargs):
         )
     merged = dict(params or {})
     merged.update(kwargs)
+    for key, value in merged.items():
+        if isinstance(value, numbers.Real) and not _is_finite(value):
+            raise ParamOutOfRange(f"{name}: parameter {key} = {value!r} is not finite")
     if "domain" in merged:
-        merged["domain"] = tuple(float(x) for x in merged["domain"])
+        try:
+            lo, hi = (float(x) for x in merged["domain"])
+        except (TypeError, ValueError, OverflowError):
+            raise ParamOutOfRange(f"{name}: domain must be (lo, hi)") from None
+        _req(math.isfinite(lo) and math.isfinite(hi) and lo < hi,
+             f"{name}: domain must be finite with lo < hi, got ({lo}, {hi})")
+        merged["domain"] = (lo, hi)
     try:
         return _GALLERY[name](**merged)
     except TypeError as exc:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 from ruledgeo.cli import run
 
@@ -213,3 +214,43 @@ def test_json_float_formatting(tmp_path):
     assert code == 0
     text = out.decode()
     assert "1.5707963267948966" in text  # pi/2 at full precision
+
+
+# delta = u - 1 changes sign inside the domain: the surface is not skew there
+SIGN_CHANGE_SPEC = {
+    "type": "expression",
+    "cx": "0", "cy": "0", "cz": "(u-1)^2/2",
+    "dx": "cos(u)", "dy": "sin(u)", "dz": "0",
+    "domain": [0.0, 6.283],
+}
+
+
+def test_delta_sign_change_is_rejected(tmp_path, capsys):
+    spec = write_spec(tmp_path, SIGN_CHANGE_SPEC)
+    assert run(["classify", "--spec", spec]) == 1
+    assert run(["trace", "--spec", spec, "--family", "s3", "--u0", "1",
+                "--v0", "0.5", "--steps", "10", "--step-size", "0.01"]) == 1
+    err = capsys.readouterr().err
+    assert "u = " in err and "Traceback" not in err
+
+
+def test_gallery_rejects_bad_params(capsys):
+    for name, param in (("generic_skew", "seed=nan"), ("generic_skew", "seed=1.5"),
+                        ("right_helicoid", "c=nan"), ("right_helicoid", "c=inf")):
+        assert run(["gallery", "--name", name, "--param", param]) == 1, param
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, param
+
+
+def test_sigma_zero_between_validation_samples_is_rejected(tmp_path, capsys):
+    # lambda = cot(sigma) is infinite at u = 2, a node of the frame grid
+    # but not one of the points the invariant triple is validated at
+    spec = write_spec(tmp_path, {
+        "type": "invariants", "u": [0, 1, 2, 3, 4], "k": [1] * 5,
+        "delta": [1] * 5, "sigma": [0.5, 0.5, 0.0, 0.5, 0.5],
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["classify", "--spec", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "u = 2.0" in err and "Traceback" not in err

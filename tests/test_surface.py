@@ -21,6 +21,7 @@ from ruledgeo.surface import (
     CurveR3,
     InvariantTriple,
     StandardRuledSurface,
+    _propagate_frame,
     gallery,
     load_spec,
     standardize,
@@ -123,6 +124,11 @@ def test_gallery_errors():
         gallery("conoidal_const_delta", alpha=-1.0)
     with pytest.raises(ParamOutOfRange):
         gallery("right_helicoid", q=3.0)  # unknown parameter name
+    for domain in ((1.0, 0.0), (0.0, math.inf), ("a", "b")):
+        with pytest.raises(ParamOutOfRange):
+            gallery("right_helicoid", domain=domain)
+    with pytest.raises(ParamOutOfRange):
+        gallery("generic_skew", seed=10**400)  # beyond the float range
 
 
 def test_generic_skew_deterministic():
@@ -319,6 +325,10 @@ def test_invariant_triple_validation():
     with pytest.raises(NonSkew):
         InvariantTriple.from_functions(k=0.0, delta=lambda u: jets.sin(u),
                                        lam=0.5, domain=(0.0, 3.0))
+    # delta changes sign between samples without hitting 0 at any of them
+    with pytest.raises(NonSkew, match="changes sign between u = "):
+        InvariantTriple.from_functions(k=0.0, delta="u - 1.01", lam=0.5,
+                                       domain=(0.0, 3.0))
     with pytest.raises(InvalidSigma):
         InvariantTriple.from_functions(k=0.0, delta=1.0, sigma=2.0,
                                        domain=(0.0, 1.0))
@@ -344,6 +354,112 @@ def test_invariant_triple_from_samples_round_trip():
         # spline interpolation of the profiles limits the accuracy here
         assert abs(k - math.sin(u)) < 1e-5
         assert abs(delta - (1.0 + 0.3 * math.sin(u))) < 1e-5
+
+
+# batched propagator against the scalar RK4 loop it replaced --------------
+
+
+def _scalar_rk4_states(inv, lo, hi, n_steps):
+    """Reference: the per-step scalar RK4 loop over the frame system,
+    one profile call per stage, from the standard basis at the origin."""
+
+    def rhs(u, y):
+        k = inv.k(u)
+        d = inv.delta(u)
+        lam = inv.lam(u)
+        dl = d * lam
+        return (
+            y[3], y[4], y[5],
+            -y[0] + k * y[6], -y[1] + k * y[7], -y[2] + k * y[8],
+            -k * y[3], -k * y[4], -k * y[5],
+            dl * y[0] + d * y[6], dl * y[1] + d * y[7], dl * y[2] + d * y[8],
+        )
+
+    h = (hi - lo) / n_steps
+    y = list(np.eye(3).reshape(-1)) + [0.0, 0.0, 0.0]
+    states = [tuple(y)]
+    for step in range(n_steps):
+        u = lo + step * h
+        k1 = rhs(u, y)
+        y2 = [y[j] + 0.5 * h * k1[j] for j in range(12)]
+        k2 = rhs(u + 0.5 * h, y2)
+        y3 = [y[j] + 0.5 * h * k2[j] for j in range(12)]
+        k3 = rhs(u + 0.5 * h, y3)
+        y4 = [y[j] + h * k3[j] for j in range(12)]
+        k4 = rhs(u + h, y4)
+        y = [
+            y[j] + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
+            for j in range(12)
+        ]
+        states.append(tuple(y))
+    return np.array(states).reshape(-1, 4, 3)
+
+
+def _profile_cases():
+    dom = (0.0, 2.0 * math.pi)
+    us = np.linspace(*dom, 40)
+    return {
+        "spline": InvariantTriple.from_samples(
+            us, 0.8 + 0.3 * np.sin(us), 1.0 + 0.2 * np.cos(us),
+            np.arctan(1.0 / (0.7 + 0.2 * np.sin(2.0 * us))),
+        ),
+        "callable": InvariantTriple.from_functions(
+            k=lambda u: 0.9 + 0.25 * jets.sin(u + 0.4),
+            delta=lambda u: 1.1 * (1.0 + 0.15 * jets.sin(u + 2.0)),
+            lam=lambda u: 0.7 + 0.2 * jets.sin(u + 1.0),
+            domain=dom,
+        ),
+        "expression": InvariantTriple.from_functions(
+            k="0.5 + 0.3*cos(u)", delta="-1 - 0.2*sin(2*u)", sigma="-1.2 + 0.1*sin(u)",
+            domain=dom,
+        ),
+    }
+
+
+def test_propagator_matches_scalar_rk4():
+    n = 4096
+    for name, inv in _profile_cases().items():
+        lo, hi = inv.domain
+        _, states = _propagate_frame(inv, lo, hi, n, np.eye(3), np.zeros(3))
+        ref = _scalar_rk4_states(inv, lo, hi, n)
+        assert states.shape == ref.shape == (n + 1, 4, 3)
+        assert np.max(np.abs(states - ref)) < 1e-12, name
+        # the surface interpolates the states at the nodes
+        surf = surface_from_invariants(inv, n_steps=n)
+        for i in range(0, n + 1, 97):
+            u = lo + i * (hi - lo) / n
+            e = surf.director.eval(u)
+            s = surf.striction.eval(u)
+            assert np.allclose([c.value for c in e], ref[i, 0], atol=1e-12), name
+            assert np.allclose([c.d1 for c in e], ref[i, 1], atol=1e-12), name
+            assert np.allclose([c.value for c in s], ref[i, 3], atol=1e-12), name
+
+
+def test_sample_grid_matches_jets():
+    inv = _profile_cases()["spline"]
+    lo, hi = inv.domain
+    g = inv.grid(lo, hi, 64)
+    for i, u in enumerate(g.u):
+        for (val, der), jet in (
+            ((g.k, g.dk), inv.k_jet(u)),
+            ((g.delta, g.ddelta), inv.delta_jet(u)),
+            ((g.lam, g.dlam), inv.lam_jet(u)),
+        ):
+            assert abs(val[i] - jet.value) < 1e-12
+            assert abs(der[i] - jet.d1) < 1e-12
+    for i, u in enumerate(g.u[:-1] + 0.5 * (hi - lo) / 64):
+        assert abs(g.k_mid[i] - inv.k(u)) < 1e-12
+        assert abs(g.delta_mid[i] - inv.delta(u)) < 1e-12
+        assert abs(g.lam_mid[i] - inv.lam(u)) < 1e-12
+
+
+def test_frame_orthonormality_drift():
+    for name, inv in _profile_cases().items():
+        lo, hi = inv.domain
+        _, states = _propagate_frame(inv, lo, hi, 4096, np.eye(3), np.zeros(3))
+        frames = states[:, :3]
+        gram = frames @ frames.transpose(0, 2, 1)
+        assert np.max(np.abs(gram - np.eye(3))) <= 1e-12, name
 
 
 def test_load_spec_variants(tmp_path):
