@@ -1,28 +1,50 @@
-"""Pure-Python backend for truncated Taylor jets.
+"""Truncated Taylor jets over one point or a whole grid of points.
 
-Mirrors `_jet_cy.pyx` exactly; keep the two in sync when touching formulas.
+The slots of a `Jet2` hold Python floats (one point) or 1-d numpy arrays
+(a grid of points, one element each). Every rule below is written once and
+runs elementwise on arrays: scalar slots go through `math`, array slots
+through the matching numpy functions, and a scalar slot broadcasts against
+an array slot. Callers pass floats, not numpy scalars, for the scalar path:
+`math` on a float is several times cheaper than numpy scalar arithmetic.
 """
 
 import math
+
+import numpy as np
+
+_NUMBER = (int, float, np.ndarray)
+
+
+def _lib(v):
+    """The module whose functions evaluate a slot value: numpy or math."""
+    return np if isinstance(v, np.ndarray) else math
+
+
+def _any(mask):
+    """Truth of a scalar comparison, or whether any element of an array one holds."""
+    return mask.any() if isinstance(mask, np.ndarray) else mask
 
 
 class Jet2:
     """Taylor jet of a scalar function of u, truncated at order 3.
 
     `value`, `d1`, `d2` are the function value and its first two
-    derivatives with respect to u. The third-order slot `d3` rides along
-    because the striction-line construction consumes three derivatives of
-    its raw inputs; consumers that only need order 2 can ignore it.
-    Instances are treated as immutable.
+    derivatives with respect to u, each a float or a 1-d array over a grid
+    of u. The third-order slot `d3` rides along because the
+    striction-line construction consumes three derivatives of its raw
+    inputs; consumers that only need order 2 can ignore it. Instances are
+    treated as immutable.
     """
 
     __slots__ = ("value", "d1", "d2", "d3")
+    # numpy defers `array op jet` to the jet's reflected operators
+    __array_ufunc__ = None
 
     def __init__(self, value, d1=0.0, d2=0.0, d3=0.0):
-        self.value = float(value)
-        self.d1 = float(d1)
-        self.d2 = float(d2)
-        self.d3 = float(d3)
+        self.value = value
+        self.d1 = d1
+        self.d2 = d2
+        self.d3 = d3
 
     @staticmethod
     def constant(c):
@@ -42,11 +64,10 @@ class Jet2:
 
     def __eq__(self, other):
         if isinstance(other, Jet2):
-            return (self.value, self.d1, self.d2, self.d3) == (
-                other.value,
-                other.d1,
-                other.d2,
-                other.d3,
+            return all(
+                bool(np.all(a == b))
+                for a, b in zip((self.value, self.d1, self.d2, self.d3),
+                                (other.value, other.d1, other.d2, other.d3))
             )
         return NotImplemented
 
@@ -66,7 +87,7 @@ class Jet2:
                 self.d2 + other.d2,
                 self.d3 + other.d3,
             )
-        if isinstance(other, (int, float)):
+        if isinstance(other, _NUMBER):
             return Jet2(self.value + other, self.d1, self.d2, self.d3)
         return NotImplemented
 
@@ -80,12 +101,12 @@ class Jet2:
                 self.d2 - other.d2,
                 self.d3 - other.d3,
             )
-        if isinstance(other, (int, float)):
+        if isinstance(other, _NUMBER):
             return Jet2(self.value - other, self.d1, self.d2, self.d3)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, _NUMBER):
             return Jet2(other - self.value, -self.d1, -self.d2, -self.d3)
         return NotImplemented
 
@@ -101,7 +122,7 @@ class Jet2:
                 + 3.0 * self.d1 * other.d2
                 + self.value * other.d3,
             )
-        if isinstance(other, (int, float)):
+        if isinstance(other, _NUMBER):
             return Jet2(
                 self.value * other, self.d1 * other, self.d2 * other, self.d3 * other
             )
@@ -112,7 +133,7 @@ class Jet2:
     def __truediv__(self, other):
         if isinstance(other, Jet2):
             b0 = other.value
-            if b0 == 0.0:
+            if _any(b0 == 0.0):
                 raise ZeroDivisionError("jet division by zero value")
             q0 = self.value / b0
             q1 = (self.d1 - q0 * other.d1) / b0
@@ -121,43 +142,44 @@ class Jet2:
                 self.d3 - q0 * other.d3 - 3.0 * q1 * other.d2 - 3.0 * q2 * other.d1
             ) / b0
             return Jet2(q0, q1, q2, q3)
-        if isinstance(other, (int, float)):
-            if other == 0.0:
+        if isinstance(other, _NUMBER):
+            if _any(other == 0.0):
                 raise ZeroDivisionError("jet division by zero")
             inv = 1.0 / other
             return Jet2(self.value * inv, self.d1 * inv, self.d2 * inv, self.d3 * inv)
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, _NUMBER):
             return Jet2.constant(other).__truediv__(self)
         return NotImplemented
 
     def __pow__(self, p):
         if isinstance(p, Jet2):
-            if p.d1 == 0.0 and p.d2 == 0.0 and p.d3 == 0.0:
+            if not (_any(p.d1 != 0.0) or _any(p.d2 != 0.0) or _any(p.d3 != 0.0)):
                 return self.__pow__(p.value)
-            if self.value <= 0.0:
+            if _any(self.value <= 0.0):
                 raise ValueError("jet exponent requires a positive base")
             return (p * self.log()).exp()
-        if isinstance(p, (int, float)):
-            if float(p).is_integer():
+        if isinstance(p, _NUMBER):
+            # an array of exponents takes the fractional rule throughout
+            if not isinstance(p, np.ndarray) and float(p).is_integer():
                 return self._int_pow(int(p))
             v = self.value
-            if v <= 0.0:
+            if _any(v <= 0.0):
                 raise ValueError("fractional power of a non-positive jet value")
-            f0 = math.pow(v, p)
-            f1 = p * math.pow(v, p - 1.0)
-            f2 = p * (p - 1.0) * math.pow(v, p - 2.0)
-            f3 = p * (p - 1.0) * (p - 2.0) * math.pow(v, p - 3.0)
+            f0 = v**p
+            f1 = p * v ** (p - 1.0)
+            f2 = p * (p - 1.0) * v ** (p - 2.0)
+            f3 = p * (p - 1.0) * (p - 2.0) * v ** (p - 3.0)
             return self._compose(f0, f1, f2, f3)
         return NotImplemented
 
     def __rpow__(self, base):
-        if isinstance(base, (int, float)):
-            if base <= 0.0:
+        if isinstance(base, _NUMBER):
+            if _any(base <= 0.0):
                 raise ValueError("jet exponent requires a positive base")
-            return (self * math.log(base)).exp()
+            return (self * _lib(base).log(base)).exp()
         return NotImplemented
 
     def _int_pow(self, n):
@@ -184,38 +206,50 @@ class Jet2:
         )
 
     def sin(self):
-        s, c = math.sin(self.value), math.cos(self.value)
+        v = self.value
+        m = _lib(v)
+        s, c = m.sin(v), m.cos(v)
         return self._compose(s, c, -s, -c)
 
     def cos(self):
-        s, c = math.sin(self.value), math.cos(self.value)
+        v = self.value
+        m = _lib(v)
+        s, c = m.sin(v), m.cos(v)
         return self._compose(c, -s, -c, s)
 
     def tan(self):
-        t = math.tan(self.value)
+        t = _lib(self.value).tan(self.value)
         sec2 = 1.0 + t * t
         return self._compose(t, sec2, 2.0 * t * sec2, (2.0 + 6.0 * t * t) * sec2)
 
     def sqrt(self):
-        r = math.sqrt(self.value)  # raises ValueError for negatives
-        if r == 0.0:
-            raise ValueError("jet sqrt at zero has no finite derivatives")
+        v = self.value
+        # the derivatives are infinite at 0, so 0 is outside the domain too
+        if _any(v <= 0.0):
+            raise ValueError("jet sqrt of a non-positive value")
+        r = _lib(v).sqrt(v)
         inv = 0.5 / r
-        return self._compose(r, inv, -0.5 * inv / self.value, 0.75 * inv / self.value**2)
+        return self._compose(r, inv, -0.5 * inv / v, 0.75 * inv / v**2)
 
     def exp(self):
-        e = math.exp(self.value)
+        e = _lib(self.value).exp(self.value)
         return self._compose(e, e, e, e)
 
     def log(self):
         v = self.value
-        f0 = math.log(v)  # raises ValueError for non-positive
+        if _any(v <= 0.0):
+            raise ValueError("jet log of a non-positive value")
+        f0 = _lib(v).log(v)
         return self._compose(f0, 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
 
     def sinh(self):
-        s, c = math.sinh(self.value), math.cosh(self.value)
+        v = self.value
+        m = _lib(v)
+        s, c = m.sinh(v), m.cosh(v)
         return self._compose(s, c, s, c)
 
     def cosh(self):
-        s, c = math.sinh(self.value), math.cosh(self.value)
+        v = self.value
+        m = _lib(v)
+        s, c = m.sinh(v), m.cosh(v)
         return self._compose(c, s, c, s)

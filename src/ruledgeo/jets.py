@@ -1,43 +1,21 @@
-"""Jet arithmetic facade.
+"""Jet arithmetic facade over the one jet kernel, `_jet_py.Jet2`.
 
-Selects the compiled kernel when available and falls back to the
-pure-Python implementation. Set RULEDGEO_PURE_PYTHON=1 to force the
-fallback (used by the backend benchmark).
-
-The module-level math functions dispatch on their argument so the same
-closure can be evaluated over plain floats (cheap value-only path) or
-over `Jet2` seeds (derivative-carrying path).
+The module-level math functions dispatch on their argument, so the same
+closure evaluates over plain floats (cheap value-only path), over `Jet2`
+seeds (derivative-carrying path), and over whole grids: numpy arrays of
+values, or jets whose slots are arrays.
 """
 
 import math
-import os
 
-if os.environ.get("RULEDGEO_PURE_PYTHON"):
-    from ._jet_py import Jet2
+import numpy as np
 
-    BACKEND = "python"
-else:
-    try:
-        from ._jet_cy import Jet2
-
-        BACKEND = "cython"
-    except ImportError:
-        from ._jet_py import Jet2
-
-        BACKEND = "python"
+from ._jet_py import Jet2
 
 
 def backend_name():
-    """Name of the active jet kernel: 'cython' or 'python'."""
-    return BACKEND
-
-
-def constant(c):
-    return Jet2(c, 0.0, 0.0, 0.0)
-
-
-def variable(u):
-    return Jet2(u, 1.0, 0.0, 0.0)
+    """Name of the jet kernel: always 'python', the only kernel."""
+    return "python"
 
 
 def as_jet(x):
@@ -58,39 +36,48 @@ def compose(outer, inner):
     )
 
 
-# float-or-jet elementary functions -----------------------------------------
+def first_true(mask):
+    """Where a check first holds: the index of the first true element of a
+    bool array, `()` for a true scalar, None when it holds nowhere.
+
+    `np.asarray(x)[index]` then picks the matching element of an x shaped
+    like the mask, so one error message serves floats and grids.
+    """
+    if isinstance(mask, np.ndarray):
+        return int(np.argmax(mask)) if mask.any() else None
+    return () if mask else None
 
 
-def sin(x):
-    return math.sin(x) if isinstance(x, (int, float)) else x.sin()
+# float-, array- or jet-valued elementary functions ----------------------------
 
 
-def cos(x):
-    return math.cos(x) if isinstance(x, (int, float)) else x.cos()
+def _elementary(name, domain=None):
+    """`name` as the `Jet2` method for jets, from numpy for arrays and from
+    math for numbers. `domain`, if given, tells which array elements are
+    valid; outside it an array raises ValueError as math does."""
+    method, array, scalar = getattr(Jet2, name), getattr(np, name), getattr(math, name)
+
+    def fn(x):
+        if isinstance(x, Jet2):
+            return method(x)
+        if isinstance(x, np.ndarray):
+            if domain is not None and not domain(x).all():
+                raise ValueError(f"{name} of a value outside its domain")
+            return array(x)
+        return scalar(x)
+
+    fn.__name__ = fn.__qualname__ = name
+    return fn
 
 
-def tan(x):
-    return math.tan(x) if isinstance(x, (int, float)) else x.tan()
-
-
-def sqrt(x):
-    return math.sqrt(x) if isinstance(x, (int, float)) else x.sqrt()
-
-
-def exp(x):
-    return math.exp(x) if isinstance(x, (int, float)) else x.exp()
-
-
-def log(x):
-    return math.log(x) if isinstance(x, (int, float)) else x.log()
-
-
-def sinh(x):
-    return math.sinh(x) if isinstance(x, (int, float)) else x.sinh()
-
-
-def cosh(x):
-    return math.cosh(x) if isinstance(x, (int, float)) else x.cosh()
+sin = _elementary("sin")
+cos = _elementary("cos")
+tan = _elementary("tan")
+sqrt = _elementary("sqrt", lambda x: x >= 0.0)
+exp = _elementary("exp")
+log = _elementary("log", lambda x: x > 0.0)
+sinh = _elementary("sinh")
+cosh = _elementary("cosh")
 
 
 # R^3 helpers over float-or-jet components -----------------------------------

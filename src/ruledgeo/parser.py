@@ -10,10 +10,12 @@ Grammar:
 
 Functions: sin cos tan sqrt exp log sinh cosh. The parsed tree evaluates
 over anything supporting arithmetic, so the same expression yields plain
-floats for float input and derivative-carrying jets for `Jet2` input.
+floats for float input and derivative-carrying jets for `Jet2` input,
+one point per slot or a whole grid when the slots are arrays.
 """
 
 import math
+import operator
 import re
 
 from . import jets
@@ -115,26 +117,26 @@ class Neg:
         return -self.arg.eval(u)
 
 
+BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": operator.pow,
+}
+
+
 class Bin:
-    __slots__ = ("op", "left", "right")
+    __slots__ = ("op", "fn", "left", "right")
 
     def __init__(self, op, left, right):
         self.op = op
+        self.fn = BINARY[op]
         self.left = left
         self.right = right
 
     def eval(self, u):
-        a = self.left.eval(u)
-        b = self.right.eval(u)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            return a / b
-        return a**b  # '^'
+        return self.fn(self.left.eval(u), self.right.eval(u))
 
 
 class Call:
@@ -160,8 +162,8 @@ class Expression:
         return self.root.eval(u)
 
     def eval_jet(self, u):
-        """Evaluate at float u, returning a `Jet2` (seeds the variable)."""
-        return jets.as_jet(self.root.eval(jets.variable(u)))
+        """Evaluate at u (a float or a 1-d array), returning a `Jet2`."""
+        return jets.as_jet(self.root.eval(jets.Jet2.variable(u)))
 
     def __repr__(self):
         return f"Expression({self.source!r})"

@@ -55,10 +55,15 @@ _GL4_WEIGHTS = (
 
 
 class CurveR3:
-    """Curve in R^3 with order-2 jet access, defined on a closed interval."""
+    """Curve in R^3 with order-2 jet access, defined on a closed interval.
+
+    `raw_eval` maps u to the three component jets. It takes a float, and
+    also a 1-d array of u, for which it returns jets whose slots are
+    arrays (or scalars, which `eval` broadcasts to the grid).
+    """
 
     def __init__(self, raw_eval, domain, name=""):
-        self.raw_eval = raw_eval  # float u -> (Jet2, Jet2, Jet2)
+        self.raw_eval = raw_eval  # u (float or 1-d array) -> (Jet2, Jet2, Jet2)
         self.domain = (float(domain[0]), float(domain[1]))
         self.name = name
         if not self.domain[0] < self.domain[1]:
@@ -69,7 +74,7 @@ class CurveR3:
         """Build from three closures mapping a jet (or float) to the component."""
 
         def raw(u):
-            uj = jets.variable(u)
+            uj = Jet2.variable(u)
             return (jets.as_jet(fx(uj)), jets.as_jet(fy(uj)), jets.as_jet(fz(uj)))
 
         return cls(raw, domain, name)
@@ -79,7 +84,7 @@ class CurveR3:
         ex, ey, ez = (parse_expression(s) for s in (sx, sy, sz))
 
         def raw(u):
-            uj = jets.variable(u)
+            uj = Jet2.variable(u)
             return (
                 jets.as_jet(ex.eval(uj)),
                 jets.as_jet(ey.eval(uj)),
@@ -91,16 +96,51 @@ class CurveR3:
     def _check_domain(self, u):
         lo, hi = self.domain
         slack = 1e-9 * (1.0 + hi - lo)
-        if u < lo - slack or u > hi + slack:
-            raise OutOfDomain(f"u = {u} outside [{lo}, {hi}]")
+        i = jets.first_true((u < lo - slack) | (u > hi + slack))
+        if i is not None:
+            raise OutOfDomain(f"u = {np.asarray(u)[i]} outside [{lo}, {hi}]")
 
     def eval(self, u):
-        """Jets of the three components at u."""
+        """Jets of the three components at u, a float or a 1-d array.
+
+        Jet-level `ValueError`s and `ArithmeticError`s (a square root or
+        logarithm outside its domain, a zero divisor) name the offending u.
+        """
+        if isinstance(u, np.ndarray):
+            return self._eval_grid(u)
+        u = float(u)
         self._check_domain(u)
-        out = self.raw_eval(float(u))
+        try:
+            out = self.raw_eval(u)
+        except (ValueError, ArithmeticError) as exc:
+            if "u = " not in str(exc):  # not named yet by an inner curve
+                exc.args = (f"{exc} at u = {u}",)
+            raise
         for c in out:
             if not (math.isfinite(c.value) and math.isfinite(c.d1) and math.isfinite(c.d2)):
                 raise IntegrationFailure(f"non-finite curve value at u = {u}")
+        return out
+
+    def _eval_grid(self, us):
+        self._check_domain(us)
+        out = None
+        with np.errstate(all="ignore"):
+            try:
+                out = tuple(
+                    Jet2(*(np.broadcast_to(x, us.shape) for x in (c.value, c.d1, c.d2, c.d3)))
+                    for c in self.raw_eval(us)
+                )
+            except (ValueError, ArithmeticError):
+                pass
+        if out is None or not all(
+            np.isfinite(x).all() for c in out for x in (c.value, c.d1, c.d2)
+        ):
+            # The scalar path decides: it raises its own error at the first
+            # offending u, or, where only the grid rules fail, gives the jets.
+            cols = zip(*(self.eval(u) for u in us.tolist()))
+            out = tuple(
+                Jet2(*np.array([(c.value, c.d1, c.d2, c.d3) for c in col]).T) for col in cols
+            )
         return out
 
     def point(self, u):
@@ -116,40 +156,44 @@ class CurveR3:
         return CurveR3(neg_raw, self.domain, self.name)
 
 
+def _first_order(striction, director, us):
+    """Values of e, e' and s' at the points `us` (a float or an array)."""
+    e = director.eval(us)
+    s = striction.eval(us)
+    return jets.values3(e), tuple(c.d1 for c in e), tuple(c.d1 for c in s)
+
+
 def _gauge_residuals(striction, director, us):
     """Worst standard-form residuals over the sample points, and the
-    signed parameter of distribution at each of them."""
-    worst = {"unit_e": 0.0, "unit_ep": 0.0, "orth": 0.0}
-    deltas = []
-    for u in us:
-        e = director.eval(u)
-        s = striction.eval(u)
-        ev = jets.values3(e)
-        epv = (e[0].d1, e[1].d1, e[2].d1)
-        spv = (s[0].d1, s[1].d1, s[2].d1)
-        worst["unit_e"] = max(worst["unit_e"], abs(math.hypot(*ev) - 1.0))
-        worst["unit_ep"] = max(worst["unit_ep"], abs(math.hypot(*epv) - 1.0))
-        worst["orth"] = max(worst["orth"], abs(jets.dot(spv, epv)))
-        deltas.append(jets.triple(ev, epv, spv))
-    worst["min_abs_delta"] = min(map(abs, deltas), default=math.inf)
+    signed parameter of distribution at each of them (an array)."""
+    ev, epv, spv = _first_order(striction, director, np.asarray(us, dtype=float))
+    deltas = jets.triple(ev, epv, spv)
+    worst = {
+        "unit_e": float(np.max(np.abs(jets.norm(ev) - 1.0), initial=0.0)),
+        "unit_ep": float(np.max(np.abs(jets.norm(epv) - 1.0), initial=0.0)),
+        "orth": float(np.max(np.abs(jets.dot(spv, epv)), initial=0.0)),
+        "min_abs_delta": float(np.min(np.abs(deltas), initial=math.inf)),
+    }
     return worst, deltas
 
 
 def _skew_gate(us, deltas, tol):
     """Raise `NonSkew` where delta is within `tol` of 0 at a sample or
     changes sign between two neighbouring samples."""
-    i = min(range(len(deltas)), key=lambda j: abs(deltas[j]))
+    deltas = np.asarray(deltas)
+    i = int(np.argmin(np.abs(deltas)))
     if not abs(deltas[i]) > tol:
         raise NonSkew(
             f"parameter of distribution ~ {abs(deltas[i]):.3e} at u = {us[i]}; "
             "surface is torsal there"
         )
-    for j in range(len(deltas) - 1):
-        if (deltas[j] > 0.0) != (deltas[j + 1] > 0.0):
-            raise NonSkew(
-                f"parameter of distribution changes sign between u = {us[j]} "
-                f"and u = {us[j + 1]}; surface is torsal in between"
-            )
+    flips = np.flatnonzero((deltas[:-1] > 0.0) != (deltas[1:] > 0.0))
+    if flips.size:
+        j = flips[0]
+        raise NonSkew(
+            f"parameter of distribution changes sign between u = {us[j]} "
+            f"and u = {us[j + 1]}; surface is torsal in between"
+        )
 
 
 class StandardRuledSurface:
@@ -334,19 +378,28 @@ class InvariantTriple:
 
     def lam(self, u):
         """lambda = cot(sigma) = <e, s'> / delta."""
-        return float(self._lam(float(u)))
+        return float(self._lam_at(float(u), u))
 
     def sigma(self, u):
         return float(self._sigma(float(u)))
 
     def k_jet(self, u):
-        return jets.as_jet(self._k(jets.variable(u)))
+        return jets.as_jet(self._k(Jet2.variable(u)))
 
     def delta_jet(self, u):
-        return jets.as_jet(self._delta(jets.variable(u)))
+        return jets.as_jet(self._delta(Jet2.variable(u)))
 
     def lam_jet(self, u):
-        return jets.as_jet(self._lam(jets.variable(u)))
+        return jets.as_jet(self._lam_at(Jet2.variable(u), u))
+
+    def _lam_at(self, x, u):
+        """The lambda profile at x (a float or a seed jet of u)."""
+        try:
+            return self._lam(x)
+        except ZeroDivisionError:
+            raise InvalidSigma(
+                f"lambda = cot(sigma) is infinite at u = {u}: sigma = 0 there"
+            ) from None
 
     def grid(self, lo, hi, n):
         """`ProfileGrid` of the n-step uniform grid on [lo, hi].
@@ -405,23 +458,24 @@ class _DenseFrameSolution:
         self.coef = np.stack([y0, p0, 0.5 * q0, c3, c4, c5], axis=-1)
 
     def eval_jets(self, u, col_lo, col_hi):
-        i = int((u - self.u0) / self.h)
-        if i < 0:
-            i = 0
-        elif i >= self.n:
-            i = self.n - 1
+        """Jets of the components col_lo:col_hi at u, a float or a 1-d array."""
+        if isinstance(u, np.ndarray):
+            i = np.clip(((u - self.u0) / self.h).astype(np.intp), 0, self.n - 1)
+            # (component, power, point): each power's coefficients as arrays
+            rows = self.coef[i, col_lo:col_hi].transpose(1, 2, 0)
+        else:
+            i = min(max(int((u - self.u0) / self.h), 0), self.n - 1)
+            rows = self.coef[i, col_lo:col_hi].tolist()
         x = u - (self.u0 + i * self.h)
-        out = []
-        for c0, c1, c2, c3, c4, c5 in self.coef[i, col_lo:col_hi]:
-            out.append(
-                Jet2(
-                    ((((c5 * x + c4) * x + c3) * x + c2) * x + c1) * x + c0,
-                    (((5.0 * c5 * x + 4.0 * c4) * x + 3.0 * c3) * x + 2.0 * c2) * x + c1,
-                    ((20.0 * c5 * x + 12.0 * c4) * x + 6.0 * c3) * x + 2.0 * c2,
-                    (60.0 * c5 * x + 24.0 * c4) * x + 6.0 * c3,
-                )
+        return tuple(
+            Jet2(
+                ((((c5 * x + c4) * x + c3) * x + c2) * x + c1) * x + c0,
+                (((5.0 * c5 * x + 4.0 * c4) * x + 3.0 * c3) * x + 2.0 * c2) * x + c1,
+                ((20.0 * c5 * x + 12.0 * c4) * x + 6.0 * c3) * x + 2.0 * c2,
+                (60.0 * c5 * x + 24.0 * c4) * x + 6.0 * c3,
             )
-        return tuple(out)
+            for c0, c1, c2, c3, c4, c5 in rows
+        )
 
 
 def _generators(k, delta, lam, out):
@@ -532,11 +586,22 @@ def surface_from_invariants(inv, frame0=None, s0=None, domain=None, n_steps=4096
 # standardization of general (base curve, director) input ----------------------
 
 
+_GL4_X = np.array(_GL4_NODES)
+
+
 def _segment_integral(fn, a, b):
+    """Four-point Gauss-Legendre integral of fn over [a, b].
+
+    `a` and `b` are floats, or arrays of segment ends; then `fn` is called
+    once on the 4 nodes of every segment. The weighted sum runs in the
+    same order either way, so both give the same numbers.
+    """
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * sum(
-        w * fn(mid + half * x) for x, w in zip(_GL4_NODES, _GL4_WEIGHTS)
-    )
+    if isinstance(mid, np.ndarray):
+        f = fn(np.ravel(mid[:, None] + half[:, None] * _GL4_X)).reshape(-1, 4).T
+    else:
+        f = [fn(mid + half * x) for x in _GL4_NODES]
+    return half * sum(w * fx for w, fx in zip(_GL4_WEIGHTS, f))
 
 
 def standardize(base, director, grid=1024, tol_torsal=1e-8, tol_director=1e-12,
@@ -545,7 +610,7 @@ def standardize(base, director, grid=1024, tol_torsal=1e-8, tol_director=1e-12,
 
     The director is normalized and reparametrized by its spherical
     arclength t (monotone cubic inverse of t(u) on a `grid`-point table,
-    polished by one Newton step), and the base curve is replaced by the
+    polished by Newton steps), and the base curve is replaced by the
     striction line s = c - (<c', e'> / <e', e'>) e. The director
     orientation is chosen so that sign(lambda) = sign(delta), following
     the striction-angle sign convention; the returned surface lives on
@@ -553,6 +618,7 @@ def standardize(base, director, grid=1024, tol_torsal=1e-8, tol_director=1e-12,
 
     The third-order jet slot of the returned striction curve is not
     tracked (it would require fourth derivatives of the input).
+    Every helper below takes a float u or a 1-d array of them.
     """
     if base.domain != director.domain:
         raise ValueError("base and director must share a domain")
@@ -561,50 +627,52 @@ def standardize(base, director, grid=1024, tol_torsal=1e-8, tol_director=1e-12,
     def ebar_jets(u):
         d = director.eval(u)
         n2 = jets.dot(d, d)
-        if n2.value < tol_director**2:
-            raise DegenerateDirector(f"|d(u)| ~ 0 at u = {u}")
+        i = jets.first_true(n2.value < tol_director**2)
+        if i is not None:
+            raise DegenerateDirector(f"|d(u)| ~ 0 at u = {np.asarray(u)[i]}")
         return jets.scale(d, 1.0 / n2.sqrt())
 
     def speed_jet(u):
         ebp = jets.deriv3(ebar_jets(u))
         n2 = jets.dot(ebp, ebp)
-        if n2.value < tol_torsal * tol_torsal:
+        i = jets.first_true(n2.value < tol_torsal * tol_torsal)
+        if i is not None:
             raise TorsalRuling(
-                f"|e'(u)| ~ {math.sqrt(max(n2.value, 0.0)):.3e} at u = {u}; "
-                "ruling is (numerically) torsal"
+                f"|e'(u)| ~ {math.sqrt(max(np.asarray(n2.value)[i], 0.0)):.3e} "
+                f"at u = {np.asarray(u)[i]}; ruling is (numerically) torsal"
             )
         return n2.sqrt()
 
-    # arclength table t(u) over the grid, with torsality checks
+    def speed(u):
+        return speed_jet(u).value
+
+    # arclength table t(u) over the grid: two grid calls, the Gauss nodes
+    # of every segment and then the grid nodes (for their torsality check)
     us = np.linspace(lo, hi, grid + 1)
-    t_nodes = np.empty(grid + 1)
-    t_nodes[0] = 0.0
-    min_speed = math.inf
-    for i in range(grid):
-        seg = _segment_integral(lambda x: speed_jet(x).value, us[i], us[i + 1])
-        t_nodes[i + 1] = t_nodes[i] + seg
-        min_speed = min(min_speed, speed_jet(us[i]).value)
-    min_speed = min(min_speed, speed_jet(us[-1]).value)
-    if min_speed < tol_torsal:
-        raise TorsalRuling(
-            f"spherical speed of the director drops to {min_speed:.3e}; "
-            "ruling is (numerically) torsal"
-        )
+    t_nodes = np.concatenate(([0.0], np.cumsum(_segment_integral(speed, us[:-1], us[1:]))))
+    speed(us)
     t_total = float(t_nodes[-1])
     u_of_t = PchipInterpolator(t_nodes, us)
 
     def invert(t):
+        """u(t): the table's monotone inverse, polished by two Newton steps
+        on t(u) - t = 0. A float polishes with scalar calls, which beat an
+        array call for its 4 Gauss nodes."""
+        if isinstance(t, np.ndarray):
+            t = np.clip(t, 0.0, t_total)
+            u = u_of_t(t)
+            for _ in range(2):
+                u = np.clip(u, lo, hi)
+                i = np.clip(np.searchsorted(t_nodes, t, side="right") - 1, 0, grid - 1)
+                u = u - (t_nodes[i] + _segment_integral(speed, us[i], u) - t) / speed(u)
+            return np.clip(u, lo, hi)
         t = min(max(t, 0.0), t_total)
         u = float(u_of_t(t))
-        for _ in range(2):  # Newton polish on t(u) - t = 0
+        for _ in range(2):
             u = min(max(u, lo), hi)
-            i = min(int(np.searchsorted(t_nodes, t, side="right")) - 1, grid - 1)
-            i = max(i, 0)
-            resid = t_nodes[i] + _segment_integral(
-                lambda x: speed_jet(x).value, us[i], u
-            ) - t
-            u -= resid / speed_jet(u).value
-        return min(max(u, lo), hi)
+            i = max(min(int(np.searchsorted(t_nodes, t, side="right")) - 1, grid - 1), 0)
+            u -= (t_nodes[i] + _segment_integral(speed, us[i], u) - t) / speed(u)
+        return float(min(max(u, lo), hi))
 
     def param_jet(u):
         """Jet of u(t): derivatives of the inverse arclength map."""
@@ -613,13 +681,27 @@ def standardize(base, director, grid=1024, tol_torsal=1e-8, tol_director=1e-12,
         up = 1.0 / t0
         return Jet2(u, up, -t1 / t0**3, (3.0 * t1 * t1 - t0 * t2) / t0**5)
 
+    last = {}
+
+    def reparam(t):
+        """Jet of u(t). The latest float t is kept: a point evaluation of
+        the surface asks both curves for the same t in turn."""
+        if isinstance(t, np.ndarray):
+            return param_jet(invert(t))
+        uj = last.get(t)
+        if uj is None:
+            uj = param_jet(invert(t))
+            last.clear()
+            last[t] = uj
+        return uj
+
     def director_raw(t):
-        uj = param_jet(invert(t))
+        uj = reparam(t)
         eb = ebar_jets(uj.value)
         return tuple(jets.compose(c, uj) for c in eb)
 
     def striction_raw(t):
-        uj = param_jet(invert(t))
+        uj = reparam(t)
         u = uj.value
         c = base.eval(u)
         eb = ebar_jets(u)
@@ -634,19 +716,13 @@ def standardize(base, director, grid=1024, tol_torsal=1e-8, tol_director=1e-12,
     striction_curve = CurveR3(striction_raw, (0.0, t_total), "striction")
 
     # orientation: <e, s'> >= 0 makes sign(lambda) = sign(delta)
-    probes = np.linspace(0.0, t_total, 9)[1:-1]
-    a_vals, deltas = [], []
-    for t in probes:
-        e = director_curve.eval(t)
-        s = striction_curve.eval(t)
-        ev = jets.values3(e)
-        epv = (e[0].d1, e[1].d1, e[2].d1)
-        spv = (s[0].d1, s[1].d1, s[2].d1)
-        a_vals.append(jets.dot(ev, spv))
-        deltas.append(jets.triple(ev, epv, spv))
-    if min(abs(d) for d in deltas) < tol_skew:
+    ev, epv, spv = _first_order(
+        striction_curve, director_curve, np.linspace(0.0, t_total, 9)[1:-1]
+    )
+    a_vals = jets.dot(ev, spv)
+    if np.min(np.abs(jets.triple(ev, epv, spv))) < tol_skew:
         raise NonSkew("parameter of distribution vanishes after standardization")
-    if max(abs(a) for a in a_vals) > 1e-9 and sum(a_vals) < 0.0:
+    if np.max(np.abs(a_vals)) > 1e-9 and sum(a_vals.tolist()) < 0.0:
         director_curve = director_curve.negated()
 
     return StandardRuledSurface(striction_curve, director_curve, (0.0, t_total))
@@ -820,9 +896,12 @@ _EXPR_KEYS = ("cx", "cy", "cz", "dx", "dy", "dz")
 
 
 def gallery_spec(name, params=None):
-    """SurfaceSpec dict for a gallery member (CLI --emit-spec)."""
-    if name not in _GALLERY:
-        raise UnknownGalleryName(f"unknown gallery surface {name!r}")
+    """SurfaceSpec dict for a gallery member (CLI --emit-spec).
+
+    The surface is built first, so the parameters pass every check of
+    `gallery` and the spec loads.
+    """
+    gallery(name, params)
     return {"type": "gallery", "name": name, "params": dict(params or {})}
 
 

@@ -254,3 +254,24 @@ def test_sigma_zero_between_validation_samples_is_rejected(tmp_path, capsys):
         assert run(["classify", "--spec", spec]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "u = 2.0" in err and "Traceback" not in err
+
+
+def test_sigma_zero_at_a_validation_sample_is_rejected(tmp_path, capsys):
+    # lambda = cot(sigma) is infinite at u = 0, the first validation sample
+    spec = write_spec(tmp_path, {
+        "type": "invariants", "u": [0, 1, 2, 3, 4], "k": [1] * 5,
+        "delta": [1] * 5, "sigma": [0.0, 0.5, 0.5, 0.5, 0.5],
+    })
+    assert run(["classify", "--spec", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "u = 0.0" in err and "Traceback" not in err
+
+
+def test_gallery_emit_spec_rejects_bad_params(tmp_path, capsys):
+    for name, param in (("generic_skew", "seed=nan"), ("right_helicoid", "c=inf")):
+        out = tmp_path / f"{name}.json"
+        assert run(["gallery", "--name", name, "--param", param, "--emit-spec",
+                    "--out", str(out)]) == 1, param
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, param
+        assert not out.exists(), param

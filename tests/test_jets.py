@@ -1,23 +1,20 @@
-"""Jet arithmetic: Taylor rules, derivative correctness, backend parity."""
+"""Jet arithmetic: Taylor rules, derivative correctness, grid (array) slots."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruledgeo import _jet_py
+from ruledgeo._jet_py import Jet2
 
-BACKENDS = [pytest.param(_jet_py, id="python")]
-try:
-    from ruledgeo import _jet_cy
-
-    BACKENDS.append(pytest.param(_jet_cy, id="cython"))
-except ImportError:  # extension not built; fallback-only environment
-    _jet_cy = None
+# The kernel under test; the "python" id keeps the test names stable.
+KERNELS = [pytest.param(_jet_py, id="python")]
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=KERNELS)
 def J(request):
     return request.param.Jet2
 
@@ -132,35 +129,20 @@ def test_elementary_derivatives_match_fd(J, name):
 @settings(max_examples=200, deadline=None)
 @given(x=finite, y=finite)
 def test_sum_rule_property(x, y):
-    for mod in (m.values[0] for m in BACKENDS):
-        J = mod.Jet2
-        f = J(x, 1.0, 0.5, 0.25)
-        g = J(y, -2.0, 1.5, 0.125)
-        s = f + g
-        assert s.value == x + y
-        assert s.d1 == -1.0 and s.d2 == 2.0 and s.d3 == 0.375
+    f = Jet2(x, 1.0, 0.5, 0.25)
+    g = Jet2(y, -2.0, 1.5, 0.125)
+    s = f + g
+    assert s.value == x + y
+    assert s.d1 == -1.0 and s.d2 == 2.0 and s.d3 == 0.375
 
 
 @settings(max_examples=200, deadline=None)
 @given(u=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
 def test_sin_cos_pythagoras_property(u):
-    for mod in (m.values[0] for m in BACKENDS):
-        J = mod.Jet2
-        j = J.variable(u)
-        one = j.sin() * j.sin() + j.cos() * j.cos()
-        assert math.isclose(one.value, 1.0, abs_tol=1e-14)
-        assert abs(one.d1) < 1e-13 and abs(one.d2) < 1e-13 and abs(one.d3) < 1e-12
-
-
-@pytest.mark.skipif(_jet_cy is None, reason="compiled backend not built")
-def test_backend_parity_on_compound_expression():
-    from ruledgeo.parser import parse_expression
-
-    expr = parse_expression("sin(u)*cos(u)^2 + exp(-u^2)/(1+u^2) + sqrt(u+2)^-3")
-    for u in (-0.9, 0.0, 0.3, 1.7):
-        a = expr.eval(_jet_py.Jet2.variable(u))
-        b = expr.eval(_jet_cy.Jet2.variable(u))
-        assert jets_close(a, b, tol=1e-13)
+    j = Jet2.variable(u)
+    one = j.sin() * j.sin() + j.cos() * j.cos()
+    assert math.isclose(one.value, 1.0, abs_tol=1e-14)
+    assert abs(one.d1) < 1e-13 and abs(one.d2) < 1e-13 and abs(one.d3) < 1e-12
 
 
 def test_derivative_shift(J):
@@ -168,3 +150,131 @@ def test_derivative_shift(J):
     s = u.sin()
     sp = s.derivative()
     assert sp.value == s.d1 and sp.d1 == s.d2 and sp.d2 == s.d3 and sp.d3 == 0.0
+
+
+# grid jets: array slots against scalar jets, element by element -------------
+
+# Every operation below is defined on this box: values in [0.1, 1.4] keep
+# sqrt, log, fractional powers and division valid and tan away from its poles.
+grid_value = st.floats(min_value=0.1, max_value=1.4)
+grid_slope = st.floats(min_value=-2.0, max_value=2.0)
+grid_jet = st.tuples(grid_value, grid_slope, grid_slope, grid_slope)
+
+# Arithmetic and sin, cos, sqrt, log run the same IEEE operations on both
+# paths. numpy's exp, tan, sinh, cosh and power may return a value one ulp
+# away from math's, and the derivative slots multiply that difference by
+# powers of the input slopes, so those are held to 1e-14.
+EXACT, ULP = 1e-15, 1e-14
+UNARY = {
+    "neg": (lambda a: -a, EXACT),
+    "derivative": (Jet2.derivative, EXACT),
+    "float_mix": (lambda a: 1.5 - 2.0 * a / 3.0 + 0.25 * (1.0 - a), EXACT),
+    "reciprocal": (lambda a: 1.0 / a, EXACT),
+    "pow_int": (lambda a: a**3, EXACT),
+    "pow_neg_int": (lambda a: a**-2, EXACT),
+    "sin": (Jet2.sin, EXACT),
+    "cos": (Jet2.cos, EXACT),
+    "sqrt": (Jet2.sqrt, EXACT),
+    "log": (Jet2.log, EXACT),
+    "tan": (Jet2.tan, ULP),
+    "exp": (Jet2.exp, ULP),
+    "sinh": (Jet2.sinh, ULP),
+    "cosh": (Jet2.cosh, ULP),
+    "pow_frac": (lambda a: a**0.7, ULP),
+    "rpow": (lambda a: 2.0**a, ULP),
+}
+BINARY = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+}
+
+
+def stack(rows):
+    """One grid jet whose element i is the scalar jet rows[i]."""
+    return Jet2(*(np.array(col) for col in zip(*rows)))
+
+
+def assert_grid_matches(grid, scalars, tol=EXACT):
+    """Each element of every slot equals the scalar jets' slot to `tol`,
+    relative to the size of that scalar jet."""
+    for i, ref in enumerate(scalars):
+        ref_slots = (ref.value, ref.d1, ref.d2, ref.d3)
+        size = max(map(abs, ref_slots))
+        for got, want in zip((grid.value, grid.d1, grid.d2, grid.d3), ref_slots):
+            got = np.broadcast_to(got, (len(scalars),))[i]
+            assert abs(got - want) <= tol * size, (i, got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(grid_jet, min_size=1, max_size=6))
+def test_grid_unary_ops_match_scalar_jets(rows):
+    grid = stack(rows)
+    for name, (op, tol) in UNARY.items():
+        assert_grid_matches(op(grid), [op(Jet2(*r)) for r in rows], tol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs=st.lists(st.tuples(grid_jet, grid_jet), min_size=1, max_size=6))
+def test_grid_binary_ops_match_scalar_jets(pairs):
+    a = stack([p for p, _ in pairs])
+    b = stack([q for _, q in pairs])
+    for name, op in BINARY.items():
+        assert_grid_matches(op(a, b), [op(Jet2(*p), Jet2(*q)) for p, q in pairs])
+        # a scalar jet broadcasts against a grid jet
+        q0 = pairs[0][1]
+        assert_grid_matches(op(a, Jet2(*q0)), [op(Jet2(*p), Jet2(*q0)) for p, _ in pairs])
+        # and so does a plain array of numbers, on either side
+        values = np.array([q[0] for _, q in pairs])
+        assert_grid_matches(op(a, values), [op(Jet2(*p), q[0]) for p, q in pairs])
+        assert_grid_matches(op(values, a), [op(q[0], Jet2(*p)) for p, q in pairs])
+    # A grid exponent with any nonzero slope is exp(b log a) throughout, a
+    # chain of the operations above; a constant one is a number exponent.
+    varying = any(slope != 0.0 for _, q in pairs for slope in q[1:])
+    assert (a**b) == ((b * a.log()).exp() if varying else a**b.value)
+
+
+def test_grid_seed_broadcasts_scalar_slots():
+    us = np.array([0.3, 0.9, 1.2])
+    u = Jet2.variable(us)
+    assert u.value is us and (u.d1, u.d2, u.d3) == (1.0, 0.0, 0.0)
+    left = us * u.sin() + 1.0
+    assert isinstance(left, Jet2)  # a numpy array on the left defers to the jet
+    assert_grid_matches(left, [x * Jet2.variable(x).sin() + 1.0 for x in us])
+    assert u == Jet2.variable(us.copy())
+
+
+def test_grid_domain_errors():
+    bad = Jet2(np.array([1.0, -1.0, 2.0]), 1.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        bad.sqrt()
+    with pytest.raises(ValueError):
+        bad.log()
+    with pytest.raises(ValueError):
+        bad**0.5
+    with pytest.raises(ValueError):
+        Jet2(np.array([1.0, 0.0]), 1.0).sqrt()
+    with pytest.raises(ZeroDivisionError):
+        Jet2.variable(np.ones(3)) / Jet2(np.array([1.0, 0.0, 2.0]))
+    with pytest.raises(ZeroDivisionError):
+        Jet2.variable(np.ones(2)) / np.array([2.0, 0.0])
+
+
+def test_facade_dispatches_arrays():
+    from ruledgeo import jets
+
+    xs = np.array([0.2, 0.7, 1.3])
+    for name in ("sin", "cos", "tan", "sqrt", "exp", "log", "sinh", "cosh"):
+        fn = getattr(jets, name)
+        np.testing.assert_allclose(fn(xs), [getattr(math, name)(x) for x in xs],
+                                   rtol=UNARY[name][1])
+        assert_grid_matches(fn(Jet2.variable(xs)),
+                            [fn(Jet2.variable(x)) for x in xs], UNARY[name][1])
+    with pytest.raises(ValueError):
+        jets.sqrt(np.array([1.0, -1.0]))
+    with pytest.raises(ValueError):
+        jets.log(np.array([1.0, 0.0]))
+    assert jets.first_true(np.array([False, True, True])) == 1
+    assert jets.first_true(np.array([False, False])) is None
+    assert jets.first_true(True) == () and jets.first_true(False) is None

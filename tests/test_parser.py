@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from ruledgeo.errors import ExpressionSyntaxError, UnknownIdentifier
@@ -107,6 +108,21 @@ def test_float_and_jet_paths_agree():
     expr = parse_expression("sin(u)^2/(1+cos(u))")
     for u in (0.2, 1.1, 2.7):
         assert math.isclose(expr.eval(u), expr.eval_jet(u).value, rel_tol=1e-15)
+
+
+def test_grid_evaluation_matches_points():
+    # one array seed evaluates every fixture on a grid around its point;
+    # numpy's transcendental functions may differ from math's by an ulp
+    for src, u0 in FIXTURES:
+        expr = parse_expression(src)
+        us = u0 + np.linspace(-0.05, 0.05, 5)
+        grid = expr.eval_jet(us)
+        for i, u in enumerate(us.tolist()):
+            point = expr.eval_jet(u)
+            for got, want in zip((grid.value, grid.d1, grid.d2, grid.d3),
+                                 (point.value, point.d1, point.d2, point.d3)):
+                got = np.broadcast_to(got, us.shape)[i]
+                assert math.isclose(got, want, rel_tol=1e-13, abs_tol=1e-13), (src, u)
 
 
 def test_constants_stay_float():

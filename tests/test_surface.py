@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ruledgeo import jets
+from ruledgeo import jets, surface
 from ruledgeo.errors import (
+    DegenerateDirector,
     GaugeViolation,
     InvalidSigma,
     NonSkew,
@@ -21,6 +22,9 @@ from ruledgeo.surface import (
     CurveR3,
     InvariantTriple,
     StandardRuledSurface,
+    _GL4_NODES,
+    _GL4_WEIGHTS,
+    _gauge_residuals,
     _propagate_frame,
     gallery,
     load_spec,
@@ -228,6 +232,199 @@ def test_standardize_torsal_and_degenerate_errors():
     # cone: striction degenerates to the apex, delta = 0 (torsal, non-skew)
     with pytest.raises(NonSkew):
         standardize(apex, cone_dir, grid=64)
+
+
+# grid (array) evaluation against the scalar path ------------------------------
+
+
+def _scalar_arclength_table(director, grid, tol_torsal=1e-8, tol_director=1e-12):
+    """t(u) at the grid nodes as `standardize` built it, one scalar jet at
+    a time (the reference for the grid evaluation)."""
+    lo, hi = director.domain
+
+    def ebar_jets(u):
+        d = director.eval(u)
+        n2 = jets.dot(d, d)
+        if n2.value < tol_director**2:
+            raise DegenerateDirector(f"|d(u)| ~ 0 at u = {u}")
+        return jets.scale(d, 1.0 / n2.sqrt())
+
+    def speed_jet(u):
+        ebp = jets.deriv3(ebar_jets(u))
+        n2 = jets.dot(ebp, ebp)
+        if n2.value < tol_torsal * tol_torsal:
+            raise TorsalRuling(
+                f"|e'(u)| ~ {math.sqrt(max(n2.value, 0.0)):.3e} at u = {u}; "
+                "ruling is (numerically) torsal"
+            )
+        return n2.sqrt()
+
+    def segment_integral(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        return half * sum(
+            w * speed_jet(mid + half * x).value for x, w in zip(_GL4_NODES, _GL4_WEIGHTS)
+        )
+
+    us = np.linspace(lo, hi, grid + 1)
+    t_nodes = np.empty(grid + 1)
+    t_nodes[0] = 0.0
+    for i in range(grid):
+        t_nodes[i + 1] = t_nodes[i] + segment_integral(us[i], us[i + 1])
+        speed_jet(us[i])
+    speed_jet(us[-1])
+    return t_nodes
+
+
+def _standardize_table(monkeypatch, base, director, grid):
+    """The arclength table `standardize` interpolates, captured on its way
+    into the monotone interpolator."""
+    seen = []
+    real = surface.PchipInterpolator
+
+    def spy(t_nodes, us):
+        seen.append(np.array(t_nodes))
+        return real(t_nodes, us)
+
+    monkeypatch.setattr(surface, "PchipInterpolator", spy)
+    standardize(base, director, grid=grid)
+    monkeypatch.undo()
+    return seen[0]
+
+
+GENERAL_PAIRS = [
+    # reparametrized helicoid: phi = u + 0.3 sin u, director length 1.5 + 0.5 sin(u + 1)
+    (("0.5*cos(u)*cos(u + 0.3*sin(u))", "0.5*cos(u)*sin(u + 0.3*sin(u))",
+      "1.1*(u + 0.3*sin(u))"),
+     ("(1.5 + 0.5*sin(u + 1))*cos(u + 0.3*sin(u))",
+      "(1.5 + 0.5*sin(u + 1))*sin(u + 0.3*sin(u))", "0")),
+    # gorge circle with slanted rulings (an Edlinger surface)
+    (("cos(u)", "sin(u)", "0"), ("-sin(u)/sqrt(2)", "cos(u)/sqrt(2)", "1/sqrt(2)")),
+    # director with exp and powers, so numpy's and math's exp both appear
+    (("2*sin(u)", "-2*cos(u)", "3*u + u^2/8"),
+     ("cos(u)", "sin(u)*(1 + u^2/9)^-0.25", "0.1*exp(u/5)")),
+]
+
+
+@pytest.mark.parametrize("pair", GENERAL_PAIRS, ids=["helicoid", "edlinger", "exp_pow"])
+def test_standardize_table_matches_scalar_loop(monkeypatch, pair):
+    dom = DEFAULT_DOMAIN
+    base, director = (CurveR3.from_expressions(*comps, dom) for comps in pair)
+    for grid in (64, 1024):
+        got = _standardize_table(monkeypatch, base, director, grid)
+        want = _scalar_arclength_table(director, grid)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_standardized_grid_eval_matches_points():
+    base, director = (CurveR3.from_expressions(*comps, DEFAULT_DOMAIN)
+                      for comps in GENERAL_PAIRS[0])
+    surf = standardize(base, director)
+    ts = np.linspace(0.0, surf.domain[1], 11)
+    for curve in (surf.director, surf.striction):
+        grid = curve.eval(ts)
+        for i, t in enumerate(ts.tolist()):
+            for g, p in zip(grid, curve.eval(t)):
+                for a, b in zip((g.value, g.d1, g.d2), (p.value, p.d1, p.d2)):
+                    assert abs(a[i] - b) <= 1e-12 * max(1.0, abs(b))
+
+
+def _pointwise_gauge_residuals(striction, director, us):
+    """The gauge residuals evaluated one point at a time (the reference)."""
+    worst = {"unit_e": 0.0, "unit_ep": 0.0, "orth": 0.0}
+    deltas = []
+    for u in us:
+        e = director.eval(u)
+        s = striction.eval(u)
+        ev = jets.values3(e)
+        epv = (e[0].d1, e[1].d1, e[2].d1)
+        spv = (s[0].d1, s[1].d1, s[2].d1)
+        worst["unit_e"] = max(worst["unit_e"], abs(math.hypot(*ev) - 1.0))
+        worst["unit_ep"] = max(worst["unit_ep"], abs(math.hypot(*epv) - 1.0))
+        worst["orth"] = max(worst["orth"], abs(jets.dot(spv, epv)))
+        deltas.append(jets.triple(ev, epv, spv))
+    worst["min_abs_delta"] = min(map(abs, deltas))
+    return worst, deltas
+
+
+def test_gauge_residuals_on_grid_match_points(gallery_five):
+    base, director = (CurveR3.from_expressions(*comps, DEFAULT_DOMAIN)
+                      for comps in GENERAL_PAIRS[0])
+    surfaces = dict(gallery_five, standardized=standardize(base, director))
+    rng = np.random.default_rng(RNG_SEED)
+    for name, surf in surfaces.items():
+        lo, hi = surf.domain
+        for us in (np.linspace(lo, hi, 33), rng.uniform(lo, hi, 20)):
+            worst, deltas = _gauge_residuals(surf.striction, surf.director, us)
+            want_worst, want_deltas = _pointwise_gauge_residuals(
+                surf.striction, surf.director, us)
+            assert worst.keys() == want_worst.keys()
+            for key, value in want_worst.items():
+                assert abs(worst[key] - value) <= 1e-15 * max(1.0, abs(value)), (name, key)
+            np.testing.assert_allclose(deltas, want_deltas, rtol=1e-13, atol=0.0)
+
+
+def _same_error(scalar_call, grid_call):
+    """Both calls raise the same exception type; returns both messages."""
+    with pytest.raises(Exception) as scalar:
+        scalar_call()
+    with pytest.raises(type(scalar.value)) as grid:
+        grid_call()
+    assert type(grid.value) is type(scalar.value)
+    return str(scalar.value), str(grid.value)
+
+
+@pytest.mark.parametrize("comps,u_bad,exc", [
+    (("sqrt(u - 1)", "0", "0"), 0.0, ValueError),
+    (("0", "log(u - 1)", "0"), 0.0, ValueError),
+    (("0", "0", "1/(u - 1)"), 1.0, ZeroDivisionError),
+], ids=["sqrt", "log", "zero_divisor"])
+def test_grid_jet_errors_name_u(comps, u_bad, exc):
+    curve = CurveR3.from_expressions(*comps, (0.0, 2.0))
+    us = np.linspace(0.0, 2.0, 5)
+    scalar_msg, grid_msg = _same_error(lambda: curve.eval(u_bad), lambda: curve.eval(us))
+    with pytest.raises(exc):
+        curve.eval(us)
+    assert f"u = {u_bad}" in grid_msg and grid_msg == scalar_msg
+
+
+def test_grid_out_of_domain_names_u():
+    curve = CurveR3.from_expressions("cos(u)", "sin(u)", "0", (0.0, 2.0))
+    scalar_msg, grid_msg = _same_error(lambda: curve.eval(3.0),
+                                       lambda: curve.eval(np.array([0.5, 3.0, -1.0])))
+    with pytest.raises(OutOfDomain):
+        curve.eval(np.array([0.5, 3.0]))
+    assert "u = 3.0" in grid_msg and grid_msg == scalar_msg
+
+
+def test_grid_falls_back_to_points_where_only_grid_rules_fail():
+    # a constant integral exponent allows a negative base at a point, while
+    # a grid of exponents takes the fractional-power rule
+    curve = CurveR3.from_expressions("u^(2 + 0*u)", "0", "0", (-1.0, 1.0))
+    us = np.linspace(-1.0, 1.0, 5)
+    grid = curve.eval(us)
+    np.testing.assert_allclose(grid[0].value, us**2)
+    np.testing.assert_allclose(grid[0].d1, 2.0 * us)
+
+
+def test_standardize_grid_errors_name_u():
+    dom = (0.0, 2.0)
+    base = CurveR3.from_expressions("0", "0", "u", dom)
+    # |d| vanishes at u = 1, a node of the 64-segment grid
+    vanishing = CurveR3.from_expressions("(u-1)*cos(u)", "(u-1)*sin(u)", "0", dom)
+    scalar_msg, grid_msg = _same_error(
+        lambda: _scalar_arclength_table(vanishing, 64),
+        lambda: standardize(base, vanishing, grid=64))
+    with pytest.raises(DegenerateDirector):
+        standardize(base, vanishing, grid=64)
+    assert "u = 1.0" in grid_msg and grid_msg == scalar_msg
+    constant = CurveR3.from_expressions("1", "0", "0", dom)
+    scalar_msg, grid_msg = _same_error(
+        lambda: _scalar_arclength_table(constant, 64),
+        lambda: standardize(base, constant, grid=64))
+    with pytest.raises(TorsalRuling):
+        standardize(base, constant, grid=64)
+    assert "u = " in grid_msg and grid_msg == scalar_msg
 
 
 def test_standard_ctor_rejects_non_unit_director():
