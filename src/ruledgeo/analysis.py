@@ -6,14 +6,13 @@ gallery surface and checks the recovered exponent and coefficient, and it
 confirms that generic and near-miss surfaces produce no fit at all.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import jets
-from .errors import DegenerateField, EmptyGrid
-from .families import CurveFamily, normal_curvature_from_invariants
+from .errors import EmptyGrid
+from .families import CurveFamily, normal_curvature_grid
 from .invariants import curvatures_from_invariants, point_invariants
 from .surface import InvariantTriple, gallery, surface_from_invariants
 
@@ -77,8 +76,8 @@ def fit_power_law(
     u_grid = _default_u_grid(surf) if u_grid is None else np.asarray(u_grid, float)
     if u_grid.size == 0:
         raise EmptyGrid("empty u grid")
-    pts = [point_invariants(surf, u) for u in u_grid]
-    delta_bar = float(np.mean([abs(p.delta) for p in pts]))
+    p = point_invariants(surf, u_grid)
+    delta_bar = float(np.mean(np.abs(p.delta)))
     if v_grid is None:
         v_grid = np.linspace(-3.0 * delta_bar, 3.0 * delta_bar, 21)
     v_grid = np.asarray(v_grid, float)
@@ -87,26 +86,22 @@ def fit_power_law(
     if tol_abs is None:
         tol_abs = 1e-9 / delta_bar
 
+    kn, degenerate = normal_curvature_grid(family, p, v_grid)
+    w = np.sqrt(v_grid * v_grid + (p.delta * p.delta)[:, None])
+    us = p.u.tolist()
     kn_rows, w_rows = [], []
-    for p in pts:
-        kns, ws = [], []
-        for v in v_grid:
-            try:
-                kn = normal_curvature_from_invariants(family, p, v)
-            except DegenerateField:
-                continue
-            kns.append(kn)
-            ws.append(math.sqrt(v * v + p.delta * p.delta))
-        if len(kns) < min_points:
+    for u, kn_row, w_row, skip in zip(us, kn, w, degenerate):
+        keep = ~skip
+        if np.count_nonzero(keep) < min_points:
             raise EmptyGrid(
-                f"only {len(kns)} non-degenerate v points at u = {p.u}"
+                f"only {np.count_nonzero(keep)} non-degenerate v points at u = {u}"
             )
-        kn_rows.append(np.array(kns))
-        w_rows.append(np.array(ws))
+        kn_rows.append(kn_row[keep])
+        w_rows.append(w_row[keep])
 
     max_abs = max(float(np.max(np.abs(r))) for r in kn_rows)
     if max_abs < tol_abs:
-        samples = np.array([(p.u, 0.0) for p in pts])
+        samples = np.array([(u, 0.0) for u in us])
         return PowerLawFit(
             n=None, f_samples=samples, residual=max_abs, is_zero=True
         )
@@ -128,8 +123,8 @@ def fit_power_law(
     best = min(qualifying, key=candidates.get)
     samples = np.array(
         [
-            (p.u, float(np.mean(kns * ws ** float(-best))))
-            for p, kns, ws in zip(pts, kn_rows, w_rows)
+            (u, float(np.mean(kns * ws ** float(-best))))
+            for u, kns, ws in zip(us, kn_rows, w_rows)
         ]
     )
     return PowerLawFit(
@@ -219,7 +214,7 @@ class TableRow:
     n: int | None  # None encodes the f == 0 rows (the table prints '-')
     surface_type: str
     surfaces: tuple
-    f_expected: object = None  # callable(PointInvariants) -> float
+    f_expected: object = None  # callable(PointInvariants) -> f, on floats or arrays
     sign_free: bool = False
 
 
@@ -303,12 +298,11 @@ def _check_row(row, surfaces, tol_f=1e-6, **fit_kwargs):
         elif isinstance(fit, PowerLawFit) and not fit.is_zero:
             entry["n_found"] = fit.n
             entry["fit_residual"] = fit.residual
-            worst = 0.0
-            for u, f_val in fit.f_samples:
-                expected = row.f_expected(point_invariants(surf, u))
-                got = abs(f_val) if row.sign_free else f_val
-                want = abs(expected) if row.sign_free else expected
-                worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
+            got = fit.f_samples[:, 1]
+            want = row.f_expected(point_invariants(surf, fit.f_samples[:, 0]))
+            if row.sign_free:
+                got, want = np.abs(got), np.abs(want)
+            worst = np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300))
             entry["f_residual"] = float(worst)
             entry["passed"] = bool(fit.n == row.n and worst <= tol_f)
         else:

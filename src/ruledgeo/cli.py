@@ -14,7 +14,7 @@ import numpy as np
 from . import analysis, families, surface
 from .errors import RuledGeoError
 from .families import CurveFamily
-from .invariants import extract_invariants
+from .invariants import point_invariants
 
 JSON_FLOAT_FMT = "%.17g"
 CSV_FLOAT_FMT = "%.12g"
@@ -101,10 +101,8 @@ def _cmd_gallery(args):
 def _cmd_invariants(args):
     surf = _load_surface(args)
     us = np.linspace(surf.domain[0], surf.domain[1], args.grid)
-    rows = []
-    for u in us:
-        k, delta, sigma, lam = extract_invariants(surf, u)
-        rows.append((u, k, delta, sigma, lam))
+    p = point_invariants(surf, us)
+    rows = list(zip(*(x.tolist() for x in (us, p.k, p.delta, p.sigma, p.lam))))
     if args.format == "json":
         payload = {
             "u": [r[0] for r in rows],

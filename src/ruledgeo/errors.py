@@ -42,6 +42,24 @@ class IntegrationFailure(RuledGeoError):
     """Moving-frame integration produced non-finite state."""
 
 
+class CurveEvaluationError(RuledGeoError):
+    """A curve component left the domain of a function, divided by zero or
+    overflowed at some u. Each subclass is also the built-in error it
+    replaces, so `except ValueError` and the like still catch it."""
+
+
+class CurveDomainError(CurveEvaluationError, ValueError):
+    """Square root or logarithm of a non-positive value, or a similar domain error."""
+
+
+class CurveZeroDivision(CurveEvaluationError, ZeroDivisionError):
+    """Division by a zero value."""
+
+
+class CurveOverflow(CurveEvaluationError, OverflowError):
+    """Result too large for a float."""
+
+
 class InvalidSigma(RuledGeoError):
     """Striction angle outside (-pi/2, pi/2] or sign inconsistent with delta."""
 

@@ -13,14 +13,15 @@ independently of the generic direction/forms route, so the two can be
 cross-checked against each other.
 """
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
+from . import jets
 from .errors import DegenerateField, OutOfDomain
 from .invariants import (
+    PointInvariants,
     curvatures_from_invariants,
     forms_from_invariants,
     g_normalize,
@@ -42,12 +43,20 @@ class CurveFamily(Enum):
         return self.value
 
 
+def _pow(x, n):
+    """x**n, on an array element by element with Python's float power:
+    numpy's power can differ from it by an ulp, and a grid must give the
+    same numbers as its points."""
+    if isinstance(x, np.ndarray):
+        return np.array([y**n for y in x.ravel().tolist()]).reshape(x.shape)
+    return x**n
+
+
 def _s4_degenerate(p, v):
     # relation is identically 0 = 0 exactly when delta' = 0 and v = 0
-    scale = (1.0 + abs(p.delta) + abs(v)) ** 2
-    return (
-        abs(2.0 * p.delta * v) <= 1e-12 * scale
-        and abs(p.delta_d1 * (p.delta * p.delta - v * v)) <= 1e-12 * scale
+    scale = _pow(1.0 + abs(p.delta) + abs(v), 2)
+    return (abs(2.0 * p.delta * v) <= 1e-12 * scale) & (
+        abs(p.delta_d1 * (p.delta * p.delta - v * v)) <= 1e-12 * scale
     )
 
 
@@ -83,10 +92,37 @@ def direction_field(family, surf, u, v):
 
 def normal_curvature_from_invariants(family, p, v):
     """Closed-form normal curvature along the family at striction distance v."""
+    if family is CurveFamily.CONST_GAUSS and _s4_degenerate(p, v):
+        raise DegenerateField(f"constant-K field is 0 = 0 at (u, v) = ({p.u}, {v})")
+    return _closed_form(family, p, v)
+
+
+def normal_curvature_grid(family, p, v):
+    """k_N along the family on a (u, v) grid, and where it is meaningless.
+
+    `p` holds the invariants at the grid's u values as arrays (rows), `v`
+    the striction distances (columns). Returns the (u, v) array of k_N and
+    the mask of the points where the family's relation is 0 = 0 (S4 only).
+    """
+    cols = PointInvariants(*(np.asarray(getattr(p, f.name))[:, None] for f in fields(p)))
+    v = np.asarray(v, dtype=float)
+    shape = (len(cols.u), len(v))
+    if family is CurveFamily.CONST_GAUSS:
+        degenerate = _s4_degenerate(cols, v)
+    else:
+        degenerate = np.zeros(shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kn = _closed_form(family, cols, v)
+    return np.broadcast_to(kn, shape), degenerate
+
+
+def _closed_form(family, p, v):
+    """The closed forms; the fields of `p` and `v` may be arrays that
+    broadcast together."""
     k, d, dd, lam = p.k, p.delta, p.delta_d1, p.lam
     d2 = d * d
     w2 = v * v + d2
-    w = math.sqrt(w2)
+    w = jets.sqrt(w2)
     g11 = v * v + d2 * (lam * lam + 1.0)
     if family is CurveFamily.CONST_STRICTION:
         return (-k * v * v - dd * v - d2 * (k - lam)) / (w * g11)
@@ -98,18 +134,15 @@ def normal_curvature_from_invariants(family, p, v):
     if family is CurveFamily.ORTH_RULINGS:
         return -(k * v * v + dd * v + d2 * (k + lam)) / (w2 * w)
     if family is CurveFamily.CONST_GAUSS:
-        if _s4_degenerate(p, v):
-            raise DegenerateField(
-                f"constant-K field is 0 = 0 at (u, v) = ({p.u}, {v})"
-            )
+        v3, v4 = _pow(v, 3), _pow(v, 4)
         a = (
-            (4.0 * d2 + dd * dd) * v**4
-            + 4.0 * d2 * dd * lam * v**3
+            (4.0 * d2 + dd * dd) * v4
+            + 4.0 * d2 * dd * lam * v3
             + 2.0 * d2 * (2.0 * d2 * (lam * lam + 1.0) - dd * dd) * v * v
             - 4.0 * d2 * d2 * dd * lam * v
             + d2 * d2 * dd * dd
         )
-        num = 4.0 * d2 * v * (k * v**3 + d2 * (k - lam) * v + d2 * dd)
+        num = 4.0 * d2 * v * (k * v3 + d2 * (k - lam) * v + d2 * dd)
         return -num / (w * a)
     curv = curvatures_from_invariants(p, v)
     return curv.k1 if family is CurveFamily.CURVATURE_1 else curv.k2
@@ -166,9 +199,12 @@ def _aligned(direction, ref):
 def trace_curve(family, surf, u0, v0, steps, step_size):
     """Fixed-step RK4 integration of the family's unit direction field.
 
-    Step size is geometric arclength (the field is g-normalized). The
-    trace stops early at the domain boundary or at a field degeneracy,
-    recording the stop reason; a degenerate starting point raises.
+    Step size is geometric arclength (the field is g-normalized). Each
+    step evaluates the field 4 times: at its two midpoints, at its end,
+    and at the new point, where the value orients the next step and is
+    that step's first stage. The trace stops early at the domain boundary
+    or at a field degeneracy, recording the stop reason; a degenerate
+    starting point raises.
     """
     lo, hi = surf.domain
     if not lo <= u0 <= hi:
@@ -182,8 +218,8 @@ def trace_curve(family, surf, u0, v0, steps, step_size):
     stop_reason, stop_step = "completed", None
 
     for i in range(int(steps)):
+        f1 = ref  # the field at (u, v), already aligned
         try:
-            f1 = _aligned(direction_field(family, surf, u, v), ref)
             f2 = _aligned(
                 direction_field(family, surf, u + 0.5 * h * f1[0], v + 0.5 * h * f1[1]),
                 ref,

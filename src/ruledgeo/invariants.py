@@ -14,13 +14,16 @@ with w = sqrt(v^2 + delta^2).
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import jets
 from .errors import InternalConsistencyError, ZeroDirection
 
 
 @dataclass(frozen=True)
 class PointInvariants:
-    """Invariant data of a surface at one parameter value u."""
+    """Invariant data of a surface at one parameter value u, or at a grid
+    of them (then every field is an array)."""
 
     u: float
     k: float
@@ -49,8 +52,16 @@ class CurvaturePair:
     k2: float
 
 
+def sigma_from_lam(lam):
+    """Striction angle sigma in (-pi/2, pi/2] of lambda = cot(sigma)."""
+    return math.pi / 2.0 if lam == 0.0 else math.atan(1.0 / lam)
+
+
 def point_invariants(surf, u):
-    """Evaluate (k, delta, delta', lambda, sigma) at u from surface jets."""
+    """Evaluate (k, delta, delta', lambda, sigma) at u from surface jets.
+
+    `u` is a float, or a 1-d array of u, for which every field is an array.
+    """
     s, e = surf.jets(u)
     ep = jets.deriv3(e)
     epp = jets.deriv3(ep)
@@ -59,9 +70,15 @@ def point_invariants(surf, u):
     delta_jet = jets.triple(e, ep, sp)
     lam_jet = jets.dot(e, sp) / delta_jet
     lam = lam_jet.value
-    sigma = math.pi / 2.0 if lam == 0.0 else math.atan(1.0 / lam)
+    if isinstance(lam, np.ndarray):
+        # math.atan element by element, so a grid matches its points exactly
+        u = np.asarray(u, dtype=float)
+        sigma = np.array([sigma_from_lam(x) for x in lam.tolist()])
+    else:
+        u = float(u)
+        sigma = sigma_from_lam(lam)
     return PointInvariants(
-        u=float(u),
+        u=u,
         k=k_jet.value,
         delta=delta_jet.value,
         delta_d1=delta_jet.d1,
@@ -102,17 +119,21 @@ def fundamental_forms(surf, u, v):
 
 
 def curvatures_from_invariants(p, v):
+    """K, H, k1 and k2 at striction distance v. The fields of `p` and `v`
+    may also be arrays that broadcast together; so are the results."""
     d2 = p.delta * p.delta
     w2 = v * v + d2
-    w = math.sqrt(w2)
+    w = jets.sqrt(w2)
     K = -d2 / (w2 * w2)
     H = -(p.k * v * v + p.delta_d1 * v + d2 * (p.k + p.lam)) / (2.0 * w2 * w)
     disc = H * H - K
-    if disc < -1e-12:
+    if jets.first_true(disc < -1e-12) is not None:
+        disc, u, v = (np.ravel(np.broadcast_to(x, np.shape(disc))) for x in (disc, p.u, v))
+        i = int(np.argmax(disc < -1e-12))
         raise InternalConsistencyError(
-            f"H^2 - K = {disc} < -1e-12 at (u, v) = ({p.u}, {v})"
+            f"H^2 - K = {disc[i]} < -1e-12 at (u, v) = ({u[i]}, {v[i]})"
         )
-    root = math.sqrt(max(disc, 0.0))
+    root = jets.sqrt(np.maximum(disc, 0.0))
     return CurvaturePair(K=K, H=H, k1=H - root, k2=H + root)
 
 

@@ -7,6 +7,7 @@ such surfaces from expressions, from a canonical gallery, from a general
 of invariants (k, delta, sigma) via moving-frame integration.
 """
 
+import bisect
 import json
 import math
 import numbers
@@ -14,10 +15,14 @@ import random
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicSpline
 
 from . import jets
 from .errors import (
+    CurveDomainError,
+    CurveEvaluationError,
+    CurveOverflow,
+    CurveZeroDivision,
     DegenerateDirector,
     GaugeViolation,
     IntegrationFailure,
@@ -29,6 +34,7 @@ from .errors import (
     TorsalRuling,
     UnknownGalleryName,
 )
+from .invariants import sigma_from_lam
 from .jets import Jet2
 from .parser import parse_expression
 
@@ -51,6 +57,14 @@ _GL4_WEIGHTS = (
     0.6521451548625461,
     0.6521451548625461,
     0.3478548451374538,
+)
+
+
+# jet-level errors and the library errors `CurveR3.eval` raises for them
+_CURVE_ERRORS = (
+    (ZeroDivisionError, CurveZeroDivision),
+    (OverflowError, CurveOverflow),
+    (ValueError, CurveDomainError),
 )
 
 
@@ -103,8 +117,9 @@ class CurveR3:
     def eval(self, u):
         """Jets of the three components at u, a float or a 1-d array.
 
-        Jet-level `ValueError`s and `ArithmeticError`s (a square root or
-        logarithm outside its domain, a zero divisor) name the offending u.
+        Jet-level errors (a square root or logarithm outside its domain, a
+        zero divisor, an overflow) raise a `CurveEvaluationError` naming the
+        offending u; on a grid, the first offending u.
         """
         if isinstance(u, np.ndarray):
             return self._eval_grid(u)
@@ -112,10 +127,11 @@ class CurveR3:
         self._check_domain(u)
         try:
             out = self.raw_eval(u)
-        except (ValueError, ArithmeticError) as exc:
-            if "u = " not in str(exc):  # not named yet by an inner curve
-                exc.args = (f"{exc} at u = {u}",)
+        except CurveEvaluationError:  # raised and named by an inner curve
             raise
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            mapped = next(new for old, new in _CURVE_ERRORS if isinstance(exc, old))
+            raise mapped(f"{exc} at u = {u}") from None
         for c in out:
             if not (math.isfinite(c.value) and math.isfinite(c.d1) and math.isfinite(c.d2)):
                 raise IntegrationFailure(f"non-finite curve value at u = {u}")
@@ -252,10 +268,6 @@ class StandardRuledSurface:
 # invariant profiles ----------------------------------------------------------
 
 
-def _sigma_from_lam(lam):
-    return math.pi / 2.0 if lam == 0.0 else math.atan(1.0 / lam)
-
-
 def _as_profile(p):
     """Normalize a profile: number | expression string | generic callable."""
     if isinstance(p, (int, float)):
@@ -319,7 +331,7 @@ class InvariantTriple:
         d_fn = _as_profile(delta)
         if lam is not None:
             lam_fn = _as_profile(lam)
-            sigma_fn = lambda u: _sigma_from_lam(lam_fn(float(u)))
+            sigma_fn = lambda u: sigma_from_lam(lam_fn(float(u)))
         else:
             sig = _as_profile(sigma)
             sigma_fn = lambda u: sig(float(u))
@@ -432,6 +444,27 @@ class InvariantTriple:
 # moving-frame integration -----------------------------------------------------
 
 
+def _quintic_hermite(y, yp, ypp, h):
+    """Coefficients of the two-point quintic Hermite interpolant.
+
+    `y`, `yp`, `ypp` hold the values and the first and second derivatives
+    at the n + 1 nodes (first axis); `h` is the node spacing, a float or an
+    array of the n interval lengths shaped to broadcast against `y[:-1]`.
+    On interval i the interpolant is sum_j coef[i, ..., j] x^j, x the
+    distance from node i; it matches all six endpoint values.
+    """
+    y0, y1 = y[:-1], y[1:]
+    p0, p1 = yp[:-1], yp[1:]
+    q0, q1 = ypp[:-1], ypp[1:]
+    a = y1 - y0 - p0 * h - 0.5 * q0 * h * h
+    b = p1 - p0 - q0 * h
+    c = q1 - q0
+    c3 = (10.0 * a - 4.0 * b * h + 0.5 * c * h * h) / h**3
+    c4 = (-15.0 * a + 7.0 * b * h - c * h * h) / h**4
+    c5 = (6.0 * a - 3.0 * b * h + 0.5 * c * h * h) / h**5
+    return np.stack([y0, p0, 0.5 * q0, c3, c4, c5], axis=-1)
+
+
 class _DenseFrameSolution:
     """Dense-output RK4 solution with two-point quintic Hermite evaluation.
 
@@ -444,18 +477,8 @@ class _DenseFrameSolution:
         self.u0 = float(us[0])
         self.h = float(us[1] - us[0])
         self.n = len(us) - 1
-        h = self.h
-        y0, y1 = y[:-1], y[1:]
-        p0, p1 = yp[:-1], yp[1:]
-        q0, q1 = ypp[:-1], ypp[1:]
-        a = y1 - y0 - p0 * h - 0.5 * q0 * h * h
-        b = p1 - p0 - q0 * h
-        c = q1 - q0
-        c3 = (10.0 * a - 4.0 * b * h + 0.5 * c * h * h) / h**3
-        c4 = (-15.0 * a + 7.0 * b * h - c * h * h) / h**4
-        c5 = (6.0 * a - 3.0 * b * h + 0.5 * c * h * h) / h**5
         # (interval, component, power) coefficient table
-        self.coef = np.stack([y0, p0, 0.5 * q0, c3, c4, c5], axis=-1)
+        self.coef = _quintic_hermite(y, yp, ypp, self.h)
 
     def eval_jets(self, u, col_lo, col_hi):
         """Jets of the components col_lo:col_hi at u, a float or a 1-d array."""
@@ -604,17 +627,62 @@ def _segment_integral(fn, a, b):
     return half * sum(w * fx for w, fx in zip(_GL4_WEIGHTS, f))
 
 
+def _arclength_table(speed_jet, lo, hi, n):
+    """Arclength table of a director with spherical speed jet `speed_jet`.
+
+    Returns the n + 1 uniform nodes u_i on [lo, hi], the arclength t_i at
+    each (4-point Gauss rule per segment, one grid call on all Gauss
+    nodes) and the quintic Hermite coefficients of the inverse u(t) on
+    every segment [t_i, t_i+1], from u' = 1/tau and u'' = -tau'/tau^3 at
+    the nodes (one grid call of the speed jet, which also checks the
+    nodes for torsality).
+    """
+    us = np.linspace(lo, hi, n + 1)
+    seg = _segment_integral(lambda u: speed_jet(u).value, us[:-1], us[1:])
+    t_nodes = np.concatenate(([0.0], np.cumsum(seg)))
+    tau = speed_jet(us)
+    up = 1.0 / tau.value
+    coef = _quintic_hermite(us, up, -tau.d1 * up**3, np.diff(t_nodes))
+    return us, t_nodes, coef
+
+
+def _hermite_inverse(t_nodes, coef, lo, hi):
+    """u(t) from an arclength table: the segment's quintic by Horner's rule,
+    for a float t (Python floats throughout) or a 1-d array of them."""
+    n = len(coef)
+    t_total = float(t_nodes[-1])
+    t_list, rows = t_nodes.tolist(), coef.tolist()
+
+    def invert(t):
+        if isinstance(t, np.ndarray):
+            t = np.clip(t, 0.0, t_total)
+            i = np.clip(np.searchsorted(t_nodes, t, side="right") - 1, 0, n - 1)
+            x = t - t_nodes[i]
+            c0, c1, c2, c3, c4, c5 = coef[i].T
+            return np.clip(((((c5 * x + c4) * x + c3) * x + c2) * x + c1) * x + c0, lo, hi)
+        t = min(max(t, 0.0), t_total)
+        i = min(max(bisect.bisect_right(t_list, t) - 1, 0), n - 1)
+        c0, c1, c2, c3, c4, c5 = rows[i]
+        x = t - t_list[i]
+        return min(max(((((c5 * x + c4) * x + c3) * x + c2) * x + c1) * x + c0, lo), hi)
+
+    return invert
+
+
 def standardize(base, director, grid=1024, tol_torsal=1e-8, tol_director=1e-12,
                 tol_skew=TOL_SKEW):
     """Bring a general ruled surface c(u) + v d(u) into standard form.
 
     The director is normalized and reparametrized by its spherical
-    arclength t (monotone cubic inverse of t(u) on a `grid`-point table,
-    polished by Newton steps), and the base curve is replaced by the
-    striction line s = c - (<c', e'> / <e', e'>) e. The director
-    orientation is chosen so that sign(lambda) = sign(delta), following
-    the striction-angle sign convention; the returned surface lives on
-    [0, t_total].
+    arclength t, and the base curve is replaced by the striction line
+    s = c - (<c', e'> / <e', e'>) e. The inverse u(t) is a quintic
+    Hermite on each segment of a `grid`-segment arclength table. It must
+    reproduce every segment midpoint t, |T(u(t)) - t| <= 1e-13 max(1,
+    t_total) with T the table's quadrature; where it does not, the table
+    is doubled, up to 8x `grid`, and then `IntegrationFailure` is raised.
+    The director orientation is chosen so that sign(lambda) = sign(delta),
+    following the striction-angle sign convention; the returned surface
+    lives on [0, t_total].
 
     The third-order jet slot of the returned striction curve is not
     tracked (it would require fourth derivatives of the input).
@@ -646,33 +714,24 @@ def standardize(base, director, grid=1024, tol_torsal=1e-8, tol_director=1e-12,
     def speed(u):
         return speed_jet(u).value
 
-    # arclength table t(u) over the grid: two grid calls, the Gauss nodes
-    # of every segment and then the grid nodes (for their torsality check)
-    us = np.linspace(lo, hi, grid + 1)
-    t_nodes = np.concatenate(([0.0], np.cumsum(_segment_integral(speed, us[:-1], us[1:]))))
-    speed(us)
+    n = grid
+    while True:
+        us, t_nodes, coef = _arclength_table(speed_jet, lo, hi, n)
+        invert = _hermite_inverse(t_nodes, coef, lo, hi)
+        # closure at the segment midpoints: one grid call on their Gauss nodes
+        t_mid = 0.5 * (t_nodes[:-1] + t_nodes[1:])
+        t_back = t_nodes[:-1] + _segment_integral(speed, us[:-1], invert(t_mid))
+        err = np.nan_to_num(np.abs(t_back - t_mid), nan=np.inf)
+        worst = int(np.argmax(err))
+        if err[worst] <= 1e-13 * max(1.0, t_nodes[-1]):
+            break
+        if n >= 8 * grid:
+            raise IntegrationFailure(
+                f"arclength inverse does not close at t = {t_mid[worst]}: "
+                f"|t(u(t)) - t| = {err[worst]:.3e} on a {n}-segment table"
+            )
+        n *= 2
     t_total = float(t_nodes[-1])
-    u_of_t = PchipInterpolator(t_nodes, us)
-
-    def invert(t):
-        """u(t): the table's monotone inverse, polished by two Newton steps
-        on t(u) - t = 0. A float polishes with scalar calls, which beat an
-        array call for its 4 Gauss nodes."""
-        if isinstance(t, np.ndarray):
-            t = np.clip(t, 0.0, t_total)
-            u = u_of_t(t)
-            for _ in range(2):
-                u = np.clip(u, lo, hi)
-                i = np.clip(np.searchsorted(t_nodes, t, side="right") - 1, 0, grid - 1)
-                u = u - (t_nodes[i] + _segment_integral(speed, us[i], u) - t) / speed(u)
-            return np.clip(u, lo, hi)
-        t = min(max(t, 0.0), t_total)
-        u = float(u_of_t(t))
-        for _ in range(2):
-            u = min(max(u, lo), hi)
-            i = max(min(int(np.searchsorted(t_nodes, t, side="right")) - 1, grid - 1), 0)
-            u -= (t_nodes[i] + _segment_integral(speed, us[i], u) - t) / speed(u)
-        return float(min(max(u, lo), hi))
 
     def param_jet(u):
         """Jet of u(t): derivatives of the inverse arclength map."""

@@ -4,6 +4,8 @@ import json
 import math
 import warnings
 
+import pytest
+
 from ruledgeo.cli import run
 
 
@@ -275,3 +277,32 @@ def test_gallery_emit_spec_rejects_bad_params(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, param
         assert not out.exists(), param
+
+
+# expression components that leave a jet function's domain or overflow
+JET_DOMAIN_SPECS = {
+    "sqrt": {"type": "expression", "cx": "0", "cy": "0", "cz": "u",
+             "dx": "cos(u)", "dy": "sin(u)", "dz": "sqrt(u-3)", "domain": [0.0, 6.0]},
+    "overflow": {"type": "expression", "cx": "0", "cy": "0", "cz": "u",
+                 "dx": "cos(u)", "dy": "sin(u)", "dz": "exp(1000*u)",
+                 "domain": [0.0, 6.0]},
+}
+VERB_ARGS = {
+    "classify": ["--grid", "33"],
+    "invariants": ["--grid", "17"],
+    "fit": ["--family", "s3"],
+    "trace": ["--family", "s3", "--u0", "1", "--v0", "0.5", "--steps", "10"],
+}
+
+
+@pytest.mark.parametrize("standardize", [False, True], ids=["standard", "standardize"])
+@pytest.mark.parametrize("verb", sorted(VERB_ARGS))
+@pytest.mark.parametrize("kind", sorted(JET_DOMAIN_SPECS))
+def test_jet_domain_errors_exit_one(tmp_path, capsys, kind, verb, standardize):
+    spec = write_spec(tmp_path, JET_DOMAIN_SPECS[kind])
+    argv = [verb, "--spec", spec, *VERB_ARGS[verb]]
+    if standardize:
+        argv.append("--standardize")
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "u = " in err and "Traceback" not in err

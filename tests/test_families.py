@@ -228,3 +228,102 @@ def test_obj_export(generic_skew):
     assert len(vlines) == len(tr.points)
     assert len(llines) == 1
     assert llines[0].split()[1:] == [str(i + 1) for i in range(len(tr.points))]
+
+
+# trace_curve against a copy of the loop that evaluated the field afresh at
+# the start of every step ------------------------------------------------------
+
+
+def _aligned(direction, ref):
+    if direction[0] * ref[0] + direction[1] * ref[1] < 0.0:
+        return (-direction[0], -direction[1])
+    return direction
+
+
+def _reference_trace(family, surf, u0, v0, steps, h):
+    """(points, stop_reason, stop_step) of the six-evaluation RK4 loop."""
+    lo, hi = surf.domain
+    ref = direction_field(family, surf, u0, v0)
+    u, v = float(u0), float(v0)
+    rows = [(u, v, *surf.point(u, v))]
+    stop_reason, stop_step = "completed", None
+    for i in range(steps):
+        try:
+            f1 = _aligned(direction_field(family, surf, u, v), ref)
+            f2 = _aligned(direction_field(
+                family, surf, u + 0.5 * h * f1[0], v + 0.5 * h * f1[1]), ref)
+            f3 = _aligned(direction_field(
+                family, surf, u + 0.5 * h * f2[0], v + 0.5 * h * f2[1]), ref)
+            f4 = _aligned(direction_field(family, surf, u + h * f3[0], v + h * f3[1]), ref)
+        except OutOfDomain:
+            stop_reason, stop_step = "domain_exit", i
+            break
+        except DegenerateField:
+            stop_reason, stop_step = "degenerate_field", i
+            break
+        un = u + h / 6.0 * (f1[0] + 2.0 * f2[0] + 2.0 * f3[0] + f4[0])
+        vn = v + h / 6.0 * (f1[1] + 2.0 * f2[1] + 2.0 * f3[1] + f4[1])
+        if not lo <= un <= hi:
+            stop_reason, stop_step = "domain_exit", i
+            break
+        u, v = un, vn
+        rows.append((u, v, *surf.point(u, v)))
+        try:
+            ref = _aligned(direction_field(family, surf, u, v), ref)
+        except DegenerateField:
+            stop_reason, stop_step = "degenerate_field", i + 1
+            break
+    return np.array(rows), stop_reason, stop_step
+
+
+def _assert_same_trace(family, surf, u0, v0, steps, h):
+    got = trace_curve(family, surf, u0, v0, steps, h)
+    points, stop_reason, stop_step = _reference_trace(family, surf, u0, v0, steps, h)
+    assert np.array_equal(got.points, points)
+    assert (got.stop_reason, got.stop_step) == (stop_reason, stop_step)
+    return got.stop_reason
+
+
+def _standardized_helicoid():
+    from ruledgeo.surface import DEFAULT_DOMAIN, CurveR3, standardize
+
+    base = CurveR3.from_expressions(
+        "0.5*cos(u)*cos(u + 0.3*sin(u))", "0.5*cos(u)*sin(u + 0.3*sin(u))",
+        "1.1*(u + 0.3*sin(u))", DEFAULT_DOMAIN)
+    director = CurveR3.from_expressions(
+        "(1.5 + 0.5*sin(u + 1))*cos(u + 0.3*sin(u))",
+        "(1.5 + 0.5*sin(u + 1))*sin(u + 0.3*sin(u))", "0", DEFAULT_DOMAIN)
+    return standardize(base, director)
+
+
+@pytest.mark.parametrize("family", list(CurveFamily), ids=lambda f: f.tag)
+def test_trace_matches_fresh_first_stage_loop(generic_skew, family):
+    reasons = set()
+    for surf in (generic_skew, _standardized_helicoid()):
+        hi = surf.domain[1]
+        for u0, v0, steps, h in ((1.0, 0.4, 12, 0.05), (hi - 0.05, 0.6, 12, 0.05)):
+            reasons.add(_assert_same_trace(family, surf, u0, v0, steps, h))
+    if family in (CurveFamily.CONST_STRICTION, CurveFamily.ORTH_RULINGS):
+        assert "domain_exit" in reasons  # these run along u, out of the domain
+
+
+def _exact_jet_surface(delta, delta_d1, domain=(0.0, 10.0)):
+    """Surface whose jets give k = lambda = 0, the constant delta and the
+    constant delta' exactly at every u (e = (1, 0, 0), e' = (0, 1, 0),
+    s' = (0, 0, delta), s'' = (0, 0, delta')), so that point_invariants
+    returns them without round-off."""
+    from ruledgeo.jets import Jet2
+    from ruledgeo.surface import CurveR3, StandardRuledSurface
+
+    director = CurveR3(lambda u: (Jet2(1.0), Jet2(0.0, 1.0), Jet2(0.0)), domain)
+    striction = CurveR3(
+        lambda u: (Jet2(0.0), Jet2(0.0), Jet2(delta * u, delta, delta_d1)), domain)
+    return StandardRuledSurface(striction, director, domain, check=False)
+
+
+def test_trace_degenerate_field_stop_matches_fresh_first_stage_loop():
+    # With delta = 1e12 the S4 field is 0 = 0 (to its relative 1e-12) for
+    # |v| <= 0.5; delta' = 1e-13 drives v^2 down by about 0.1 per unit of u.
+    surf = _exact_jet_surface(1e12, 1e-13)
+    reason = _assert_same_trace(CurveFamily.CONST_GAUSS, surf, 0.5, 1.0, 60, 2e11)
+    assert reason == "degenerate_field"

@@ -212,3 +212,58 @@ def test_extract_invariants_spec_values():
     surf = gallery("conoidal_const_delta", alpha=2.0, beta=1.0)
     k, delta, sigma, lam = extract_invariants(surf, 0.8)
     assert abs(k) < 1e-12 and abs(delta - 1.0) < 1e-12 and abs(lam - 2.0) < 1e-12
+
+
+# grid evaluation against the point path ---------------------------------------
+
+_GRID_SURFACES = {}
+
+
+def _grid_surface(name):
+    """Gallery members with their default parameters, built once."""
+    from ruledgeo.surface import gallery
+
+    if name not in _GRID_SURFACES:
+        _GRID_SURFACES[name] = gallery(name)
+    return _GRID_SURFACES[name]
+
+
+unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["right_helicoid", "hyperboloid_edlinger", "orthoid_const_delta",
+                          "conoidal_const_delta", "generic_skew"]),
+    fracs=st.lists(unit, min_size=1, max_size=8),
+    v_fracs=st.lists(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+                     min_size=1, max_size=6),
+)
+def test_grid_invariants_and_kn_equal_points(name, fracs, v_fracs):
+    from ruledgeo.errors import DegenerateField
+    from ruledgeo.families import (
+        CurveFamily,
+        normal_curvature_from_invariants,
+        normal_curvature_grid,
+    )
+    from ruledgeo.invariants import point_invariants
+
+    surf = _grid_surface(name)
+    lo, hi = surf.domain
+    us = np.array([lo + f * (hi - lo) for f in fracs])
+    grid = point_invariants(surf, us)
+    points = [point_invariants(surf, u) for u in us.tolist()]
+    for field in ("u", "k", "delta", "delta_d1", "lam", "sigma"):
+        assert getattr(grid, field).tolist() == [getattr(p, field) for p in points], field
+    # v = 0 included: where delta' = 0, S4 is degenerate there
+    vs = np.array([3.0 * f for f in v_fracs] + [0.0])
+    for family in CurveFamily:
+        kn, degenerate = normal_curvature_grid(family, grid, vs)
+        for i, p in enumerate(points):
+            for j, v in enumerate(vs.tolist()):
+                try:
+                    want = normal_curvature_from_invariants(family, p, v)
+                except DegenerateField:
+                    assert degenerate[i, j], (family, p.u, v)
+                    continue
+                assert not degenerate[i, j] and kn[i, j] == want, (family, p.u, v)

@@ -9,6 +9,7 @@ from ruledgeo import jets, surface
 from ruledgeo.errors import (
     DegenerateDirector,
     GaugeViolation,
+    IntegrationFailure,
     InvalidSigma,
     NonSkew,
     OutOfDomain,
@@ -276,16 +277,17 @@ def _scalar_arclength_table(director, grid, tol_torsal=1e-8, tol_director=1e-12)
 
 
 def _standardize_table(monkeypatch, base, director, grid):
-    """The arclength table `standardize` interpolates, captured on its way
-    into the monotone interpolator."""
+    """The first arclength table `standardize` builds, captured as
+    `_arclength_table` returns it."""
     seen = []
-    real = surface.PchipInterpolator
+    real = surface._arclength_table
 
-    def spy(t_nodes, us):
-        seen.append(np.array(t_nodes))
-        return real(t_nodes, us)
+    def spy(*args):
+        out = real(*args)
+        seen.append(np.array(out[1]))
+        return out
 
-    monkeypatch.setattr(surface, "PchipInterpolator", spy)
+    monkeypatch.setattr(surface, "_arclength_table", spy)
     standardize(base, director, grid=grid)
     monkeypatch.undo()
     return seen[0]
@@ -314,6 +316,116 @@ def test_standardize_table_matches_scalar_loop(monkeypatch, pair):
         want = _scalar_arclength_table(director, grid)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def _speed(director, u):
+    """Spherical speed of the normalized director at a float u."""
+    d = director.eval(u)
+    ebar = jets.scale(d, 1.0 / jets.dot(d, d).sqrt())
+    ebp = jets.deriv3(ebar)
+    return math.sqrt(jets.dot(ebp, ebp).value)
+
+
+def _gauss(director, a, b):
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return half * sum(w * _speed(director, mid + half * x)
+                      for x, w in zip(_GL4_NODES, _GL4_WEIGHTS))
+
+
+def _standardize_inverses(monkeypatch, base, director, grid):
+    """Every (segment count, inverse u(t)) `standardize` builds, in order."""
+    seen = []
+    real = surface._hermite_inverse
+
+    def spy(t_nodes, coef, lo, hi):
+        invert = real(t_nodes, coef, lo, hi)
+        seen.append((len(coef), invert))
+        return invert
+
+    monkeypatch.setattr(surface, "_hermite_inverse", spy)
+    standardize(base, director, grid=grid)
+    monkeypatch.undo()
+    return seen
+
+
+def _closure(director, n, invert, ts):
+    """max |T(u(t)) - t| over ts, T the n-segment table rebuilt point by point."""
+    us = np.linspace(*director.domain, n + 1).tolist()
+    t_nodes = _scalar_arclength_table(director, n).tolist()
+    worst = 0.0
+    for t in ts:
+        u = invert(t)
+        i = min(max(int(np.searchsorted(t_nodes, t, side="right")) - 1, 0), n - 1)
+        worst = max(worst, abs(t_nodes[i] + _gauss(director, us[i], u) - t))
+    return worst
+
+
+@pytest.mark.parametrize("pair", GENERAL_PAIRS, ids=["helicoid", "edlinger", "exp_pow"])
+def test_arclength_inverse_closes(monkeypatch, pair):
+    base, director = (CurveR3.from_expressions(*comps, DEFAULT_DOMAIN) for comps in pair)
+    rng = np.random.default_rng(RNG_SEED)
+    for grid in (64, 1024):
+        built = _standardize_inverses(monkeypatch, base, director, grid)
+        n, invert = built[-1]
+        t_total = float(_scalar_arclength_table(director, n)[-1])
+        ts = rng.uniform(0.0, t_total, 60).tolist() + [0.0, t_total]
+        assert _closure(director, n, invert, ts) <= 1e-13 * max(1.0, t_total)
+        if len(built) > 1:  # the first table did not close at its midpoints
+            n0, invert0 = built[0]
+            t0 = _scalar_arclength_table(director, n0)
+            mids = (0.5 * (t0[:-1] + t0[1:])).tolist()
+            assert _closure(director, n0, invert0, mids) > 1e-13 * max(1.0, t_total)
+        assert [m for m, _ in built] == [grid * 2**j for j in range(len(built))]
+        if grid == 64 and pair is not GENERAL_PAIRS[1]:
+            assert len(built) > 1  # helicoid and exp_pow need a finer table
+
+
+def _pchip_newton_inverse(director, grid):
+    """u(t) as `standardize` inverted it before the quintic inverse: a
+    monotone cubic through the table, polished by two Newton steps."""
+    from scipy.interpolate import PchipInterpolator
+
+    lo, hi = director.domain
+    us = np.linspace(lo, hi, grid + 1)
+    t_nodes = _scalar_arclength_table(director, grid)
+    t_total = float(t_nodes[-1])
+    u_of_t = PchipInterpolator(t_nodes, us)
+
+    def invert(t):
+        t = min(max(t, 0.0), t_total)
+        u = float(u_of_t(t))
+        for _ in range(2):
+            u = min(max(u, lo), hi)
+            i = max(min(int(np.searchsorted(t_nodes, t, side="right")) - 1, grid - 1), 0)
+            u -= (t_nodes[i] + _gauss(director, us[i], u) - t) / _speed(director, u)
+        return min(max(u, lo), hi)
+
+    return invert
+
+
+@pytest.mark.parametrize("pair", GENERAL_PAIRS, ids=["helicoid", "edlinger", "exp_pow"])
+def test_arclength_inverse_matches_pchip_newton(monkeypatch, pair):
+    base, director = (CurveR3.from_expressions(*comps, DEFAULT_DOMAIN) for comps in pair)
+    # At the default grid. On a coarse table the quintic only has to close
+    # to 1e-13 max(1, t_total) in t, while the Newton polish went further.
+    grid = 1024
+    n, invert = _standardize_inverses(monkeypatch, base, director, grid)[-1]
+    assert n == grid
+    old = _pchip_newton_inverse(director, grid)
+    ts = np.linspace(0.0, float(_scalar_arclength_table(director, grid)[-1]), 97)
+    got = invert(ts)
+    for t, u in zip(ts.tolist(), got.tolist()):
+        assert invert(t) == u  # the float and array paths agree
+        assert abs(u - old(t)) <= 1e-13
+
+
+def test_arclength_inverse_that_never_closes_raises():
+    # director speed 1 + 0.9 sin(8u): two segments, even at 8x, cannot follow it
+    base = CurveR3.from_expressions("0", "0", "u", (0.0, 3.0))
+    director = CurveR3.from_expressions(
+        "cos(u - 0.1125*cos(8*u))", "sin(u - 0.1125*cos(8*u))", "0", (0.0, 3.0))
+    with pytest.raises(IntegrationFailure, match=r"does not close at t = \d"):
+        standardize(base, director, grid=2)
 
 
 def test_standardized_grid_eval_matches_points():
