@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets
-from .errors import EmptyGrid
+from .errors import EmptyGrid, InvalidArgument
 from .families import CurveFamily, normal_curvature_grid
 from .invariants import curvatures_from_invariants, point_invariants
 from .surface import InvariantTriple, gallery, surface_from_invariants
@@ -53,7 +53,10 @@ class NoFit:
     candidates: dict = field(default_factory=dict)
 
 
-def _default_u_grid(surf, n=33):
+def uniform_u_grid(surf, n=33):
+    """n evenly spaced u over the surface's domain; `EmptyGrid` for n < 0."""
+    if n < 0:
+        raise EmptyGrid(f"a grid needs a number of points >= 0, got {n}")
     return np.linspace(surf.domain[0], surf.domain[1], n)
 
 
@@ -73,7 +76,10 @@ def fit_power_law(
     (n is meaningless there). Among qualifying exponents the smallest
     residual wins and multiplicity is flagged as ambiguous.
     """
-    u_grid = _default_u_grid(surf) if u_grid is None else np.asarray(u_grid, float)
+    lo_n, hi_n = (int(n) for n in n_range)
+    if lo_n > hi_n:
+        raise InvalidArgument(f"exponent range [{lo_n}, {hi_n}] holds no integer")
+    u_grid = uniform_u_grid(surf) if u_grid is None else np.asarray(u_grid, float)
     if u_grid.size == 0:
         raise EmptyGrid("empty u grid")
     p = point_invariants(surf, u_grid)
@@ -107,7 +113,7 @@ def fit_power_law(
         )
 
     candidates = {}
-    for n in range(int(n_range[0]), int(n_range[1]) + 1):
+    for n in range(lo_n, hi_n + 1):
         worst = 0.0
         for kns, ws in zip(kn_rows, w_rows):
             r = kns * ws ** float(-n)
@@ -174,9 +180,7 @@ class ClassificationReport:
 
 def classify(surf, u_grid=None, tol_class=TOL_CLASS, n_grid=256):
     """Flag the named surface classes from invariant residuals on a u grid."""
-    if u_grid is None:
-        u_grid = np.linspace(surf.domain[0], surf.domain[1], n_grid)
-    u_grid = np.asarray(u_grid, float)
+    u_grid = uniform_u_grid(surf, n_grid) if u_grid is None else np.asarray(u_grid, float)
     if u_grid.size == 0:
         raise EmptyGrid("empty u grid")
     pts = [point_invariants(surf, u) for u in u_grid]

@@ -100,7 +100,7 @@ def _cmd_gallery(args):
 
 def _cmd_invariants(args):
     surf = _load_surface(args)
-    us = np.linspace(surf.domain[0], surf.domain[1], args.grid)
+    us = analysis.uniform_u_grid(surf, args.grid)
     p = point_invariants(surf, us)
     rows = list(zip(*(x.tolist() for x in (us, p.k, p.delta, p.sigma, p.lam))))
     if args.format == "json":

@@ -85,7 +85,12 @@ class DegenerateField(RuledGeoError):
 
 
 class EmptyGrid(RuledGeoError):
-    """Grid left empty after removing degenerate points."""
+    """Grid with no points: a negative number of points was asked for, or
+    none are left after removing degenerate points."""
+
+
+class InvalidArgument(RuledGeoError):
+    """Numeric argument that is not finite, or a range with nothing in it."""
 
 
 class SpecFormatError(RuledGeoError):

@@ -13,13 +13,14 @@ independently of the generic direction/forms route, so the two can be
 cross-checked against each other.
 """
 
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
 from . import jets
-from .errors import DegenerateField, OutOfDomain
+from .errors import DegenerateField, InvalidArgument, OutOfDomain
 from .invariants import (
     PointInvariants,
     curvatures_from_invariants,
@@ -204,11 +205,16 @@ def trace_curve(family, surf, u0, v0, steps, step_size):
     and at the new point, where the value orients the next step and is
     that step's first stage. The trace stops early at the domain boundary
     or at a field degeneracy, recording the stop reason; a degenerate
-    starting point raises.
+    starting point raises, and so do a non-finite v0 or step size.
     """
     lo, hi = surf.domain
     if not lo <= u0 <= hi:
         raise OutOfDomain(f"u0 = {u0} outside [{lo}, {hi}]")
+    if not (math.isfinite(v0) and math.isfinite(step_size)):
+        raise InvalidArgument(
+            f"trace needs a finite v0 and step size, got v0 = {v0}, "
+            f"step size = {step_size}"
+        )
     ref = direction_field(family, surf, u0, v0)  # raises if degenerate at start
 
     u, v = float(u0), float(v0)

@@ -53,8 +53,16 @@ class CurvaturePair:
 
 
 def sigma_from_lam(lam):
-    """Striction angle sigma in (-pi/2, pi/2] of lambda = cot(sigma)."""
-    return math.pi / 2.0 if lam == 0.0 else math.atan(1.0 / lam)
+    """Striction angle sigma in (-pi/2, pi/2] of lambda = cot(sigma).
+
+    A round-off-sized negative lambda (about -1e-16 or less) gives
+    atan(1/lambda) = -pi/2, the end the interval excludes; it is the same
+    angle as +pi/2, which is returned instead.
+    """
+    if lam == 0.0:
+        return math.pi / 2.0
+    sigma = math.atan(1.0 / lam)
+    return math.pi / 2.0 if sigma == -math.pi / 2.0 else sigma
 
 
 def point_invariants(surf, u):

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .invariants import sigma_from_lam
 from .jets import Jet2
-from .parser import parse_expression
+from .parser import compile_program, parse_expression
 
 DEFAULT_DOMAIN = (0.0, 2.0 * math.pi)
 
@@ -95,15 +95,13 @@ class CurveR3:
 
     @classmethod
     def from_expressions(cls, sx, sy, sz, domain, name=""):
-        ex, ey, ez = (parse_expression(s) for s in (sx, sy, sz))
+        """Build from three expression strings, run as one program, so a
+        subexpression the components share is computed once."""
+        program = compile_program([parse_expression(s).root for s in (sx, sy, sz)])
 
         def raw(u):
-            uj = Jet2.variable(u)
-            return (
-                jets.as_jet(ex.eval(uj)),
-                jets.as_jet(ey.eval(uj)),
-                jets.as_jet(ez.eval(uj)),
-            )
+            x, y, z = program.run(Jet2.variable(u))
+            return (jets.as_jet(x), jets.as_jet(y), jets.as_jet(z))
 
         return cls(raw, domain, name)
 
@@ -212,17 +210,44 @@ def _skew_gate(us, deltas, tol):
         )
 
 
+class _LastCall:
+    """`fn` with a one-entry memo for float arguments.
+
+    A call hits only for the identical float, the sign of zero included,
+    and array arguments bypass the memo. The entry is one tuple, replaced
+    whole, so threads sharing the memo always read a matching pair.
+    """
+
+    __slots__ = ("fn", "entry")
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.entry = (None, None)
+
+    def __call__(self, x):
+        if isinstance(x, np.ndarray):
+            return self.fn(x)
+        key, value = self.entry
+        if key == x and (x != 0.0 or math.copysign(1.0, key) == math.copysign(1.0, x)):
+            return value
+        value = self.fn(x)
+        self.entry = (x, value)
+        return value
+
+
 class StandardRuledSurface:
     """Skew ruled surface in standard form: striction line s(u), unit director e(u).
 
     Construction verifies the gauge conditions and skewness on a sample
     grid and raises `GaugeViolation` / `NonSkew` otherwise. Instances are
-    immutable; evaluation is pure.
+    immutable and evaluation is pure; the jets at the latest float u are
+    kept in a one-entry memo that no result depends on.
     """
 
     def __init__(self, striction, director, domain=None, label="", check=True, n_check=33):
         self.striction = striction
         self.director = director
+        self._jets = _LastCall(lambda u: (striction.eval(u), director.eval(u)))
         self.domain = tuple(float(x) for x in (domain or director.domain))
         self.label = label
         if check:
@@ -243,8 +268,12 @@ class StandardRuledSurface:
             _skew_gate(us, deltas, TOL_SKEW)
 
     def jets(self, u):
-        """(striction jets, director jets) at u."""
-        return self.striction.eval(u), self.director.eval(u)
+        """(striction jets, director jets) at u, a float or a 1-d array.
+
+        `trace_curve` asks for the point at u and then for the field there,
+        so the jets at the latest float u are kept.
+        """
+        return self._jets(u)
 
     def point(self, u, v):
         s, e = self.jets(u)
@@ -340,10 +369,18 @@ class InvariantTriple:
 
     @classmethod
     def from_samples(cls, u, k, delta, sigma):
-        """Cubic-spline profiles through sampled arrays (equal length >= 4)."""
-        u = np.asarray(u, dtype=float)
-        arrays = {"k": k, "delta": delta, "sigma": sigma}
-        if any(len(np.asarray(a)) != len(u) for a in arrays.values()) or len(u) < 4:
+        """Cubic-spline profiles through sampled arrays (finite, equal length >= 4)."""
+        arrays = {"u": u, "k": k, "delta": delta, "sigma": sigma}
+        for name, values in arrays.items():
+            try:
+                values = np.asarray(values, dtype=float)
+            except (TypeError, ValueError):
+                raise SpecFormatError(f"'{name}' must be an array of numbers") from None
+            if values.ndim != 1 or not np.isfinite(values).all():
+                raise SpecFormatError(f"'{name}' must be a flat array of finite numbers")
+            arrays[name] = values
+        u = arrays.pop("u")
+        if any(len(a) != len(u) for a in arrays.values()) or len(u) < 4:
             raise SpecFormatError("u, k, delta, sigma must have equal length >= 4")
         if not np.all(np.diff(u) > 0):
             raise SpecFormatError("u samples must be strictly increasing")
@@ -357,9 +394,13 @@ class InvariantTriple:
 
             return fn
 
-        splines = tuple(
-            CubicSpline(u, np.asarray(values, dtype=float)) for values in (k, delta, sigma)
-        )
+        # the inputs are checked above, so what CubicSpline still rejects is
+        # a spacing of u too small for its slopes or its linear system
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                splines = tuple(CubicSpline(u, values) for values in arrays.values())
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            raise SpecFormatError(f"no cubic spline through the samples: {exc}") from None
         k_fn, d_fn, sig_fn = map(spline_profile, splines)
         lam_fn = lambda x: jets.cos(sig_fn(x)) / jets.sin(sig_fn(x))
         return cls(k_fn, d_fn, lam_fn, sig_fn, (u[0], u[-1]), splines)
@@ -700,8 +741,9 @@ def standardize(base, director, grid=1024, tol_torsal=1e-8, tol_director=1e-12,
             raise DegenerateDirector(f"|d(u)| ~ 0 at u = {np.asarray(u)[i]}")
         return jets.scale(d, 1.0 / n2.sqrt())
 
-    def speed_jet(u):
-        ebp = jets.deriv3(ebar_jets(u))
+    def speed_from(eb, u):
+        """Spherical speed jet at u from the normalized director jets there."""
+        ebp = jets.deriv3(eb)
         n2 = jets.dot(ebp, ebp)
         i = jets.first_true(n2.value < tol_torsal * tol_torsal)
         if i is not None:
@@ -710,6 +752,9 @@ def standardize(base, director, grid=1024, tol_torsal=1e-8, tol_director=1e-12,
                 f"at u = {np.asarray(u)[i]}; ruling is (numerically) torsal"
             )
         return n2.sqrt()
+
+    def speed_jet(u):
+        return speed_from(ebar_jets(u), u)
 
     def speed(u):
         return speed_jet(u).value
@@ -733,37 +778,25 @@ def standardize(base, director, grid=1024, tol_torsal=1e-8, tol_director=1e-12,
         n *= 2
     t_total = float(t_nodes[-1])
 
-    def param_jet(u):
-        """Jet of u(t): derivatives of the inverse arclength map."""
-        tau = speed_jet(u)
+    @_LastCall
+    def frame(t):
+        """Jet of u(t), the inverse arclength map, and the normalized
+        director jets at u(t). A point evaluation of the surface asks both
+        curves for the same t in turn, so the latest float t is kept."""
+        u = invert(t)
+        eb = ebar_jets(u)
+        tau = speed_from(eb, u)
         t0, t1, t2 = tau.value, tau.d1, tau.d2
         up = 1.0 / t0
-        return Jet2(u, up, -t1 / t0**3, (3.0 * t1 * t1 - t0 * t2) / t0**5)
-
-    last = {}
-
-    def reparam(t):
-        """Jet of u(t). The latest float t is kept: a point evaluation of
-        the surface asks both curves for the same t in turn."""
-        if isinstance(t, np.ndarray):
-            return param_jet(invert(t))
-        uj = last.get(t)
-        if uj is None:
-            uj = param_jet(invert(t))
-            last.clear()
-            last[t] = uj
-        return uj
+        return Jet2(u, up, -t1 / t0**3, (3.0 * t1 * t1 - t0 * t2) / t0**5), eb
 
     def director_raw(t):
-        uj = reparam(t)
-        eb = ebar_jets(uj.value)
+        uj, eb = frame(t)
         return tuple(jets.compose(c, uj) for c in eb)
 
     def striction_raw(t):
-        uj = reparam(t)
-        u = uj.value
-        c = base.eval(u)
-        eb = ebar_jets(u)
+        uj, eb = frame(t)
+        c = base.eval(uj.value)
         cp = jets.deriv3(c)
         ebp = jets.deriv3(eb)
         m = jets.dot(cp, ebp) / jets.dot(ebp, ebp)
@@ -933,7 +966,11 @@ def gallery(name, params=None, **kwargs):
     merged = dict(params or {})
     merged.update(kwargs)
     for key, value in merged.items():
-        if isinstance(value, numbers.Real) and not _is_finite(value):
+        if key == "domain":
+            continue
+        if not isinstance(value, numbers.Real):
+            raise ParamOutOfRange(f"{name}: parameter {key} = {value!r} is not a number")
+        if not _is_finite(value):
             raise ParamOutOfRange(f"{name}: parameter {key} = {value!r} is not finite")
     if "domain" in merged:
         try:
@@ -1030,6 +1067,8 @@ def _read_domain(dom):
         lo, hi = (float(x) for x in dom)
     except (TypeError, ValueError):
         raise SpecFormatError("'domain' must be [lo, hi]") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise SpecFormatError(f"'domain' must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise SpecFormatError(f"'domain' must satisfy lo < hi, got [{lo}, {hi}]")
     return (lo, hi)

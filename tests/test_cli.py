@@ -244,6 +244,15 @@ def test_gallery_rejects_bad_params(capsys):
         assert err.startswith("error: ") and "Traceback" not in err, param
 
 
+@pytest.mark.parametrize("value", ["", "2", None, [1.0], {"c": 1.0}])
+def test_gallery_spec_rejects_non_numeric_params(tmp_path, capsys, value):
+    spec = write_spec(tmp_path, {"type": "gallery", "name": "right_helicoid",
+                                 "params": {"c": value}})
+    assert run(["classify", "--spec", spec, "--grid", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: right_helicoid: parameter c") and "not a number" in err
+
+
 def test_sigma_zero_between_validation_samples_is_rejected(tmp_path, capsys):
     # lambda = cot(sigma) is infinite at u = 2, a node of the frame grid
     # but not one of the points the invariant triple is validated at
@@ -306,3 +315,37 @@ def test_jet_domain_errors_exit_one(tmp_path, capsys, kind, verb, standardize):
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "u = " in err and "Traceback" not in err
+
+
+# numeric arguments that leave nothing to compute, or nothing finite -----------
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["classify", "--grid", "-1"], "got -1"),
+    (["invariants", "--grid", "-3"], "got -3"),
+    (["fit", "--family", "lc1", "--n-min", "3", "--n-max", "-3"], "[3, -3]"),
+    (["trace", "--family", "s1", "--u0", "1", "--v0", "inf"], "v0 = inf"),
+    (["trace", "--family", "s1", "--u0", "1", "--v0", "nan"], "v0 = nan"),
+    (["trace", "--family", "s1", "--u0", "1", "--v0", "0.5", "--step-size", "nan"],
+     "step size = nan"),
+    (["trace", "--family", "s1", "--u0", "1", "--v0", "0.5", "--step-size=-inf"],
+     "step size = -inf"),
+], ids=["classify_grid", "invariants_grid", "fit_n_range", "trace_v0_inf",
+        "trace_v0_nan", "trace_h_nan", "trace_h_inf"])
+def test_empty_or_non_finite_arguments_exit_one(tmp_path, capsys, argv, named):
+    spec = write_spec(tmp_path, {"type": "gallery", "name": "hyperboloid_edlinger"})
+    assert run([argv[0], "--spec", spec, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert named in captured.err and captured.out == ""
+
+
+def test_deeply_nested_expression_exits_one(tmp_path, capsys):
+    nested = "(" * 200 + "u" + ")" * 200
+    spec = write_spec(tmp_path, {"type": "expression", "cx": "0", "cy": "0", "cz": nested,
+                                 "dx": "cos(u)", "dy": "sin(u)", "dz": "0",
+                                 "domain": [0.0, 6.0]})
+    assert run(["classify", "--spec", spec, "--grid", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: syntax error at position 64") and "Traceback" not in err
+

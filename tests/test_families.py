@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from ruledgeo.errors import DegenerateField, OutOfDomain
+from ruledgeo import gallery
+from ruledgeo.errors import DegenerateField, InvalidArgument, OutOfDomain
 from ruledgeo.families import (
     CurveFamily,
     direction_field,
@@ -182,6 +183,30 @@ def test_trace_degenerate_start_raises(conoidal_const_delta):
 def test_trace_bad_start_raises(right_helicoid):
     with pytest.raises(OutOfDomain):
         trace_curve(CurveFamily.CONST_STRICTION, right_helicoid, -5.0, 0.0, 10, 0.01)
+
+
+@pytest.mark.parametrize("v0,h", [(math.inf, 0.01), (math.nan, 0.01), (-math.inf, 0.01),
+                                  (0.5, math.nan), (0.5, math.inf)])
+def test_trace_rejects_a_non_finite_start(right_helicoid, v0, h):
+    with pytest.raises(InvalidArgument, match="finite v0 and step size"):
+        trace_curve(CurveFamily.CONST_STRICTION, right_helicoid, 1.0, v0, 5, h)
+
+
+def test_trace_evaluates_surface_jets_four_times_per_step(monkeypatch):
+    surf = gallery("generic_skew", seed=0, n_steps=256)
+    calls = [0]
+
+    def counted(u, raw=surf.striction.raw_eval):
+        calls[0] += 1
+        return raw(u)
+
+    monkeypatch.setattr(surf.striction, "raw_eval", counted)
+    steps = 10
+    tr = trace_curve(CurveFamily.ORTH_RULINGS, surf, 3.0, 0.4, steps, 0.01)
+    assert tr.stop_reason == "completed" and len(tr.points) == steps + 1
+    # the start, then per step three RK4 stages and the new point, whose
+    # jets the field there reuses
+    assert calls[0] == 1 + 4 * steps
 
 
 def test_trace_arclength_is_g_length(generic_skew):

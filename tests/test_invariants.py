@@ -267,3 +267,28 @@ def test_grid_invariants_and_kn_equal_points(name, fracs, v_fracs):
                     assert degenerate[i, j], (family, p.u, v)
                     continue
                 assert not degenerate[i, j] and kn[i, j] == want, (family, p.u, v)
+
+
+def test_sigma_of_a_round_off_negative_lambda_is_pi_over_2():
+    from ruledgeo.invariants import point_invariants, sigma_from_lam
+    from ruledgeo.surface import CurveR3, StandardRuledSurface
+
+    for lam in (-1e-16, -1e-300, -5e-324, -0.0, 0.0):
+        assert sigma_from_lam(lam) == math.pi / 2.0, lam
+    assert -math.pi / 2.0 < sigma_from_lam(-1e-15) < -1.5
+    assert sigma_from_lam(1e-16) == math.pi / 2.0
+    # an orthoid up to round-off: s' = lambda delta e + delta e x e' with
+    # lambda = -1e-16 and delta = 1, so atan(1/lambda) rounds to -pi/2
+    dom = (0.0, 6.0)
+    surf = StandardRuledSurface(
+        CurveR3.from_expressions("-1e-16*sin(u)", "1e-16*cos(u)", "u", dom),
+        CurveR3.from_expressions("cos(u)", "sin(u)", "0", dom),
+        dom,
+    )
+    us = np.linspace(0.0, 6.0, 9)
+    grid = point_invariants(surf, us)
+    assert (grid.lam < 0.0).all() and (grid.lam > -2e-16).all()
+    assert grid.sigma.tolist() == [math.pi / 2.0] * len(us)
+    for u in us.tolist():
+        p = point_invariants(surf, u)
+        assert p.lam < 0.0 and p.sigma == math.pi / 2.0, u

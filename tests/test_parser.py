@@ -136,3 +136,135 @@ def test_whitespace_and_scientific_numbers():
     assert parse_expression(" 1.5e2 *  u ").eval(2.0) == 300.0
     assert parse_expression(".5*u").eval(4.0) == 2.0
     assert parse_expression("2.e1").eval(0.0) == 20.0
+
+
+# shared-subexpression programs against a recursive walk of the tree ------------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from ruledgeo import parser  # noqa: E402
+from ruledgeo.jets import Jet2  # noqa: E402
+from ruledgeo.parser import compile_program  # noqa: E402
+
+
+def tree_eval(node, u):
+    """The recursive evaluator the node classes used to carry (the oracle)."""
+    if isinstance(node, parser.Num):
+        return node.value
+    if isinstance(node, parser.Var):
+        return u
+    if isinstance(node, parser.Neg):
+        return -tree_eval(node.arg, u)
+    if isinstance(node, parser.Bin):
+        return parser.BINARY[node.op](tree_eval(node.left, u), tree_eval(node.right, u))
+    return parser.FUNCTIONS[node.name](tree_eval(node.arg, u))
+
+
+def bits(x):
+    """Exact identity of a result: floats by their hex form, arrays by their bytes."""
+    if isinstance(x, Jet2):
+        return tuple(bits(s) for s in (x.value, x.d1, x.d2, x.d3))
+    if isinstance(x, np.ndarray):
+        return ("array", x.dtype.str, x.shape, x.tobytes())
+    if isinstance(x, float):
+        return ("float", x.hex())
+    return (type(x).__name__, repr(x))
+
+
+def outcome(fn):
+    """Bits of fn()'s results, or the type and message of the error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return ("ok", [bits(x) for x in fn()])
+    except Exception as exc:  # the oracle and the program must fail alike
+        return ("error", type(exc), str(exc))
+
+
+numbers = st.one_of(
+    st.sampled_from(["0", "1", "2", "3", "0.5", "1e-3", "10", "pi"]),
+    st.floats(min_value=0.0, max_value=50.0).map(repr),
+)
+sources = st.recursive(
+    st.one_of(st.just("u"), numbers),
+    lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from("+-*/^"), sub, st.booleans()).map(
+            lambda t: f"({t[0]}){t[1]}({t[2]})" if t[3] else f"{t[0]} {t[1]} {t[2]}"),
+        st.tuples(st.sampled_from(sorted(parser.FUNCTIONS)), sub).map(
+            lambda t: f"{t[0]}({t[1]})"),
+        sub.map(lambda s: f"-({s})"),
+        sub.map(lambda s: f"({s})*({s})"),  # a repeat the program must share
+    ),
+    max_leaves=10,
+)
+points = st.floats(min_value=-3.0, max_value=3.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(srcs=st.lists(sources, min_size=1, max_size=3), u=points,
+       grid=st.lists(points, min_size=1, max_size=4))
+def test_program_matches_tree_walk_bit_for_bit(srcs, u, grid):
+    roots = [parser._Parser(s).parse() for s in srcs]
+    program = compile_program(roots)
+    us = np.array(grid)
+    for seed in (u, Jet2.variable(u), Jet2.variable(us)):
+        want = outcome(lambda: [tree_eval(r, seed) for r in roots])
+        got = outcome(lambda: program.run(seed))
+        assert got == want, (srcs, seed)
+    # a one-root program behind each Expression
+    for s in srcs:
+        expr = parse_expression(s)
+        assert outcome(lambda: [expr.eval(u)]) == outcome(lambda: [tree_eval(expr.root, u)])
+
+
+def _tree_ops(node):
+    if isinstance(node, (parser.Num, parser.Var)):
+        return 0
+    if isinstance(node, parser.Bin):
+        return 1 + _tree_ops(node.left) + _tree_ops(node.right)
+    return 1 + _tree_ops(node.arg)
+
+
+def test_program_computes_each_subexpression_once():
+    srcs = ["2*sin(u+1)*cos(u+1)", "sin(u+1)^2 - cos(u+1)^2", "cos(u+1)*(2 - 0)"]
+    roots = [parse_expression(s).root for s in srcs]
+    assert sum(map(_tree_ops, roots)) == 17
+    # 6 + 7 + 4 tree operations; shared within each expression 5 + 6 + 4;
+    # across them u+1, sin, 2*sin, cos, 2*sin*cos, sin^2, cos^2, their
+    # difference, 2-0 and cos*(2-0)
+    assert [len(compile_program([r]).code) for r in roots] == [5, 6, 4]
+    assert len(compile_program(roots).code) == 10
+    # 0 and -0 are different constants
+    program = compile_program([parse_expression("u*0").root, parser.Bin(
+        "*", parser.Var(), parser.Num(-0.0))])
+    assert len(program.consts) == 2
+    x, y = program.run(1.0)
+    assert math.copysign(1.0, x) == 1.0 and math.copysign(1.0, y) == -1.0
+
+
+def test_program_raises_the_first_error_of_the_tree_walk():
+    # log(u - 2) fails before 1/(u - 1) in the walk; at u = 1 both would
+    roots = [parse_expression(s).root for s in ("log(u - 2)", "1/(u - 1)")]
+    with pytest.raises(ValueError, match="log"):
+        compile_program(roots).run(Jet2.variable(1.0))
+    with pytest.raises(ZeroDivisionError):
+        compile_program(roots[::-1]).run(Jet2.variable(1.0))
+
+
+def test_nesting_is_bounded_and_long_sums_compile():
+    from ruledgeo.parser import MAX_DEPTH
+
+    deep = "(" * MAX_DEPTH + "u" + ")" * MAX_DEPTH
+    with pytest.raises(ExpressionSyntaxError, match="nested deeper") as exc:
+        parse_expression(deep)
+    assert exc.value.position == MAX_DEPTH
+    for src in ("-" * 2000 + "u", "sin(" * 500 + "u" + ")" * 500, "2^" * 1000 + "u"):
+        with pytest.raises(ExpressionSyntaxError, match="nested deeper"):
+            parse_expression(src)
+    shallow = "(" * (MAX_DEPTH - 1) + "u" + ")" * (MAX_DEPTH - 1)
+    assert parse_expression(shallow).eval(0.5) == 0.5
+    # a sum of n terms is a tree n deep; compiling and running it recurse nowhere
+    expr = parse_expression(" + ".join(["u"] * 5000))
+    assert expr.eval(1.0) == 5000.0
+    jet = expr.eval_jet(2.0)
+    assert (jet.value, jet.d1, jet.d2) == (10000.0, 5000.0, 0.0)

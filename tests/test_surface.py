@@ -441,6 +441,60 @@ def test_standardized_grid_eval_matches_points():
                     assert abs(a[i] - b) <= 1e-12 * max(1.0, abs(b))
 
 
+def _count_raw_evals(monkeypatch, **curves):
+    """Wrap each curve's `raw_eval`; returns the live count per name."""
+    calls = dict.fromkeys(curves, 0)
+    for name, curve in curves.items():
+        def counted(u, raw=curve.raw_eval, name=name):
+            calls[name] += 1
+            return raw(u)
+
+        monkeypatch.setattr(curve, "raw_eval", counted)
+    return calls
+
+
+def test_standardized_point_evaluates_director_and_base_once(monkeypatch):
+    base, director = (CurveR3.from_expressions(*comps, DEFAULT_DOMAIN)
+                      for comps in GENERAL_PAIRS[0])
+    surf = standardize(base, director)
+    calls = _count_raw_evals(monkeypatch, base=base, director=director)
+    ts = np.linspace(0.1, surf.domain[1] - 0.1, 7).tolist()
+    for t in ts:
+        surf.point(t, 0.3)
+        extract_invariants(surf, t)  # the same t again: no evaluation at all
+    assert calls == {"base": len(ts), "director": len(ts)}
+    # arrays bypass the memo: each of the two curves evaluates the director
+    surf.jets(np.array(ts))
+    assert calls == {"base": len(ts) + 1, "director": len(ts) + 2}
+
+
+def test_jet_memos_key_on_the_identical_float(monkeypatch):
+    surf = gallery("right_helicoid", c=1.0)
+    calls = _count_raw_evals(monkeypatch, s=surf.striction, e=surf.director)
+    for u in (0.0, 0.0, -0.0, -0.0, 0.0, 1.0, 1, np.float64(1.0), 0.5):
+        surf.jets(u)
+    # 0.0, -0.0, 0.0, 1.0 (also as int and numpy float), 0.5
+    assert calls == {"s": 5, "e": 5}
+    surf.jets(0.0)
+    _, e = surf.jets(-0.0)
+    assert math.copysign(1.0, e[2].value) == -1.0  # e_z = 0 * u at u = -0.0
+    grid = np.array([0.5, 0.5])
+    surf.jets(grid)
+    surf.jets(grid)  # arrays bypass the memo
+    assert calls == {"s": 9, "e": 9}
+
+    # the reparametrization memo of a standardized surface: its striction and
+    # director ask for the same t, which hits for 0.0 and misses for -0.0
+    base, director = (CurveR3.from_expressions(*comps, DEFAULT_DOMAIN)
+                      for comps in GENERAL_PAIRS[1])
+    std = standardize(base, director)
+    inner = _count_raw_evals(monkeypatch, d=director)
+    for t in (0.0, -0.0):
+        std.director.eval(t)
+        std.striction.eval(t)
+    assert inner == {"d": 2}
+
+
 def _pointwise_gauge_residuals(striction, director, us):
     """The gauge residuals evaluated one point at a time (the reference)."""
     worst = {"unit_e": 0.0, "unit_ep": 0.0, "orth": 0.0}
@@ -809,3 +863,35 @@ def test_load_spec_errors():
     with pytest.raises(SpecFormatError):
         load_spec({"type": "invariants", "u": [0, 1], "k": [0, 0],
                    "delta": [1, 1], "sigma": [1.0, 1.0]})
+
+
+def _samples(**changes):
+    spec = {"type": "invariants", "u": [0.0, 1.0, 2.0, 3.0], "k": [0.0] * 4,
+            "delta": [1.0] * 4, "sigma": [0.5] * 4}
+    spec.update(changes)
+    return spec
+
+
+HELICOID_COMPONENTS = {"type": "expression", "cx": "0", "cy": "0", "cz": "u",
+                       "dx": "cos(u)", "dy": "sin(u)", "dz": "0"}
+
+
+@pytest.mark.parametrize("spec", [
+    _samples(k=["a", 0.0, 0.0, 0.0]),
+    _samples(k=[[0.0], 0.0, 0.0, 0.0]),
+    _samples(u=5.0),
+    _samples(k=[0.0, math.nan, 0.0, 0.0]),
+    _samples(u=[0.0, 1.0, 2.0, math.inf]),
+    _samples(u=[-1.0, 0.0, 1e-300, 1.0]),  # CubicSpline's system is singular
+    _samples(u=[-1.0, 0.0, 2e-232, 1.0], sigma=[0.5, 0.5, 1.0, 0.5]),  # slopes overflow
+    dict(HELICOID_COMPONENTS, domain=[-math.inf, 0.0]),
+    dict(HELICOID_COMPONENTS, domain=[0.0, math.inf]),
+    dict(HELICOID_COMPONENTS, domain=[math.nan, 1.0]),
+], ids=["string", "nested", "scalar_u", "nan_k", "inf_u", "close_u", "steep_sigma",
+        "domain_minus_inf", "domain_inf", "domain_nan"])
+def test_load_spec_rejects_malformed_samples_and_domains(spec):
+    from ruledgeo.errors import SpecFormatError
+
+    with np.errstate(all="raise"), pytest.raises(SpecFormatError):
+        load_spec(spec)
+
