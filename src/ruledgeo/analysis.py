@@ -60,6 +60,12 @@ def uniform_u_grid(surf, n=33):
     return np.linspace(surf.domain[0], surf.domain[1], n)
 
 
+def _row_stats(stat, blocks):
+    """`stat` (np.max, np.mean or np.std) of every row of a list of 2-d
+    blocks, as Python floats in row order."""
+    return [x for block in blocks for x in stat(block, axis=1).tolist()]
+
+
 def fit_power_law(
     surf,
     family,
@@ -95,29 +101,36 @@ def fit_power_law(
     kn, degenerate = normal_curvature_grid(family, p, v_grid)
     w = np.sqrt(v_grid * v_grid + (p.delta * p.delta)[:, None])
     us = p.u.tolist()
-    kn_rows, w_rows = [], []
-    for u, kn_row, w_row, skip in zip(us, kn, w, degenerate):
-        keep = ~skip
-        if np.count_nonzero(keep) < min_points:
-            raise EmptyGrid(
-                f"only {np.count_nonzero(keep)} non-degenerate v points at u = {u}"
-            )
-        kn_rows.append(kn_row[keep])
-        w_rows.append(w_row[keep])
+    counts = np.count_nonzero(~degenerate, axis=1)
+    i = jets.first_true(counts < min_points)
+    if i is not None:
+        raise EmptyGrid(f"only {counts[i]} non-degenerate v points at u = {us[i]}")
+    # (k_N, w) blocks of rows: the whole C-contiguous grid when no point is
+    # degenerate, else one block per row holding its kept points. Either
+    # way the statistics of a row are those of its own 1-d array.
+    if degenerate.any():
+        blocks = [
+            (kn_row[keep][None, :], w_row[keep][None, :])
+            for kn_row, w_row, keep in zip(kn, w, ~degenerate)
+        ]
+    else:
+        blocks = [(np.ascontiguousarray(kn), np.ascontiguousarray(w))]
 
-    max_abs = max(float(np.max(np.abs(r))) for r in kn_rows)
+    max_abs = max(_row_stats(np.max, [np.abs(kns) for kns, _ in blocks]))
     if max_abs < tol_abs:
         samples = np.array([(u, 0.0) for u in us])
         return PowerLawFit(
             n=None, f_samples=samples, residual=max_abs, is_zero=True
         )
 
+    # one exponent at a time: stacking the exponents as well moves some
+    # candidates by an ulp
     candidates = {}
     for n in range(lo_n, hi_n + 1):
+        r = [kns * ws ** float(-n) for kns, ws in blocks]
         worst = 0.0
-        for kns, ws in zip(kn_rows, w_rows):
-            r = kns * ws ** float(-n)
-            worst = max(worst, float(np.std(r)) / max(tol_abs, abs(float(np.mean(r)))))
+        for sd, mean in zip(_row_stats(np.std, r), _row_stats(np.mean, r)):
+            worst = max(worst, sd / max(tol_abs, abs(mean)))
         candidates[n] = worst
 
     qualifying = [n for n, res in candidates.items() if res <= tol_fit]
@@ -127,12 +140,8 @@ def fit_power_law(
             best_n=best_n, best_residual=candidates[best_n], candidates=candidates
         )
     best = min(qualifying, key=candidates.get)
-    samples = np.array(
-        [
-            (u, float(np.mean(kns * ws ** float(-best))))
-            for u, kns, ws in zip(us, kn_rows, w_rows)
-        ]
-    )
+    f_values = _row_stats(np.mean, [kns * ws ** float(-best) for kns, ws in blocks])
+    samples = np.array(list(zip(us, f_values)))
     return PowerLawFit(
         n=best,
         f_samples=samples,

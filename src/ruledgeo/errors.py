@@ -43,9 +43,10 @@ class IntegrationFailure(RuledGeoError):
 
 
 class CurveEvaluationError(RuledGeoError):
-    """A curve component left the domain of a function, divided by zero or
-    overflowed at some u. Each subclass is also the built-in error it
-    replaces, so `except ValueError` and the like still catch it."""
+    """A curve component or an expression profile left the domain of a
+    function, divided by zero or overflowed at some u. Each subclass is
+    also the built-in error it replaces, so `except ValueError` and the
+    like still catch it."""
 
 
 class CurveDomainError(CurveEvaluationError, ValueError):

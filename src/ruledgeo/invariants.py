@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .errors import InternalConsistencyError, ZeroDirection
+from .errors import InternalConsistencyError, NonSkew, ZeroDirection
 
 
 @dataclass(frozen=True)
@@ -69,15 +69,42 @@ def point_invariants(surf, u):
     """Evaluate (k, delta, delta', lambda, sigma) at u from surface jets.
 
     `u` is a float, or a 1-d array of u, for which every field is an array.
+    Of the jets of s and e at u it reads the value, d1 and d2 slots of e
+    and the d1 and d2 slots of s:
+
+        k = (e, e', e''),  delta = (e, e', s'),  lambda = <e, s'> / delta,
+
+    with delta' the d1 slot of the triple product (e, e', s'). The sums and
+    products run over those slots in the order of the `Jet2` rules for
+    `jets.triple` and `jets.dot`, so the fields are the same numbers as
+    those of the jet expressions. `NonSkew` is raised where delta = 0.
     """
     s, e = surf.jets(u)
-    ep = jets.deriv3(e)
-    epp = jets.deriv3(ep)
-    sp = jets.deriv3(s)
-    k_jet = jets.triple(e, ep, epp)
-    delta_jet = jets.triple(e, ep, sp)
-    lam_jet = jets.dot(e, sp) / delta_jet
-    lam = lam_jet.value
+    a0, a1, a2 = (c.value for c in e)  # e
+    da0, da1, da2 = (c.d1 for c in e)  # e'
+    dda0, dda1, dda2 = (c.d2 for c in e)  # e''
+    b0, b1, b2 = (c.d1 for c in s)  # s'
+    db0, db1, db2 = (c.d2 for c in s)  # s''
+
+    # k = <e, e' x e''>, value slot only
+    k = (
+        a0 * (da1 * dda2 - da2 * dda1)
+        + a1 * (da2 * dda0 - da0 * dda2)
+        + a2 * (da0 * dda1 - da1 * dda0)
+    )
+    # e' x s' with its d1 slot, then delta = <e, e' x s'> with its d1 slot
+    x0 = da1 * b2 - da2 * b1
+    x1 = da2 * b0 - da0 * b2
+    x2 = da0 * b1 - da1 * b0
+    dx0 = (dda1 * b2 + da1 * db2) - (dda2 * b1 + da2 * db1)
+    dx1 = (dda2 * b0 + da2 * db0) - (dda0 * b2 + da0 * db2)
+    dx2 = (dda0 * b1 + da0 * db1) - (dda1 * b0 + da1 * db0)
+    delta = a0 * x0 + a1 * x1 + a2 * x2
+    delta_d1 = (da0 * x0 + a0 * dx0) + (da1 * x1 + a1 * dx1) + (da2 * x2 + a2 * dx2)
+    i = jets.first_true(delta == 0.0)
+    if i is not None:
+        raise NonSkew(f"parameter of distribution vanishes at u = {np.asarray(u)[i]}")
+    lam = (a0 * b0 + a1 * b1 + a2 * b2) / delta
     if isinstance(lam, np.ndarray):
         # math.atan element by element, so a grid matches its points exactly
         u = np.asarray(u, dtype=float)
@@ -87,9 +114,9 @@ def point_invariants(surf, u):
         sigma = sigma_from_lam(lam)
     return PointInvariants(
         u=u,
-        k=k_jet.value,
-        delta=delta_jet.value,
-        delta_d1=delta_jet.d1,
+        k=k,
+        delta=delta,
+        delta_d1=delta_d1,
         lam=lam,
         sigma=sigma,
     )

@@ -60,12 +60,25 @@ _GL4_WEIGHTS = (
 )
 
 
-# jet-level errors and the library errors `CurveR3.eval` raises for them
+# jet-level errors and the library errors that curves and expression profiles
+# raise for them
 _CURVE_ERRORS = (
     (ZeroDivisionError, CurveZeroDivision),
     (OverflowError, CurveOverflow),
     (ValueError, CurveDomainError),
 )
+
+
+def _named_errors(fn, x, u):
+    """fn(x), with a jet-level error raised as its `CurveEvaluationError`
+    naming u. One that an inner curve raised, and so named, passes as is."""
+    try:
+        return fn(x)
+    except CurveEvaluationError:
+        raise
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        mapped = next(new for old, new in _CURVE_ERRORS if isinstance(exc, old))
+        raise mapped(f"{exc} at u = {u}") from None
 
 
 class CurveR3:
@@ -123,13 +136,7 @@ class CurveR3:
             return self._eval_grid(u)
         u = float(u)
         self._check_domain(u)
-        try:
-            out = self.raw_eval(u)
-        except CurveEvaluationError:  # raised and named by an inner curve
-            raise
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            mapped = next(new for old, new in _CURVE_ERRORS if isinstance(exc, old))
-            raise mapped(f"{exc} at u = {u}") from None
+        out = _named_errors(self.raw_eval, u, u)
         for c in out:
             if not (math.isfinite(c.value) and math.isfinite(c.d1) and math.isfinite(c.d2)):
                 raise IntegrationFailure(f"non-finite curve value at u = {u}")
@@ -303,7 +310,8 @@ def _as_profile(p):
         c = float(p)
         return lambda u: c
     if isinstance(p, str):
-        return parse_expression(p).eval
+        ev = parse_expression(p).eval
+        return lambda x: _named_errors(ev, x, x.value if isinstance(x, Jet2) else x)
     if callable(p):
         return p
     raise TypeError(f"cannot interpret profile {p!r}")
@@ -676,14 +684,25 @@ def _arclength_table(speed_jet, lo, hi, n):
     nodes) and the quintic Hermite coefficients of the inverse u(t) on
     every segment [t_i, t_i+1], from u' = 1/tau and u'' = -tau'/tau^3 at
     the nodes (one grid call of the speed jet, which also checks the
-    nodes for torsality).
+    nodes for torsality). `IntegrationFailure` is raised first where a
+    segment length h is not finite or h^5, a divisor of the Hermite fit,
+    underflows or overflows.
     """
     us = np.linspace(lo, hi, n + 1)
     seg = _segment_integral(lambda u: speed_jet(u).value, us[:-1], us[1:])
     t_nodes = np.concatenate(([0.0], np.cumsum(seg)))
+    h = np.diff(t_nodes)
+    with np.errstate(all="ignore"):
+        h5 = h**5
+    i = jets.first_true(~(np.isfinite(h5) & (h5 >= np.finfo(float).tiny)))
+    if i is not None:
+        raise IntegrationFailure(
+            f"arclength table segment of length {h[i]:.3e} at u = {us[i]}: "
+            "its fifth power under- or overflows a float"
+        )
     tau = speed_jet(us)
     up = 1.0 / tau.value
-    coef = _quintic_hermite(us, up, -tau.d1 * up**3, np.diff(t_nodes))
+    coef = _quintic_hermite(us, up, -tau.d1 * up**3, h)
     return us, t_nodes, coef
 
 

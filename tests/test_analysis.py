@@ -333,3 +333,70 @@ def test_verify_all_report(capsys):
         ("0", None), ("-k", -1), ("-delta^2*lambda", -3),
         ("0", None), ("-k", -1),
     ]
+
+
+# row-batched statistics against the per-row loop --------------------------------
+
+
+def _per_row_fit(surf, family, v_grid=None, n_range=(-5, 2), tol_fit=1e-6):
+    """`fit_power_law`'s exponent search with one `np.std`/`np.mean` call
+    per row, the reference its batched statistics must match bit for bit.
+    Returns (candidates, n, f_samples) and whether a point was degenerate."""
+    from ruledgeo.analysis import uniform_u_grid
+    from ruledgeo.families import normal_curvature_grid
+    from ruledgeo.invariants import point_invariants
+
+    p = point_invariants(surf, uniform_u_grid(surf))
+    delta_bar = float(np.mean(np.abs(p.delta)))
+    if v_grid is None:
+        v_grid = np.linspace(-3.0 * delta_bar, 3.0 * delta_bar, 21)
+    tol_abs = 1e-9 / delta_bar
+    kn, degenerate = normal_curvature_grid(family, p, v_grid)
+    w = np.sqrt(v_grid * v_grid + (p.delta * p.delta)[:, None])
+    us = p.u.tolist()
+    kn_rows = [row[~skip] for row, skip in zip(kn, degenerate)]
+    w_rows = [row[~skip] for row, skip in zip(w, degenerate)]
+    max_abs = max(float(np.max(np.abs(r))) for r in kn_rows)
+    if max_abs < tol_abs:
+        return ({}, None, np.array([(u, 0.0) for u in us])), degenerate.any()
+    candidates = {}
+    for n in range(n_range[0], n_range[1] + 1):
+        worst = 0.0
+        for kns, ws in zip(kn_rows, w_rows):
+            r = kns * ws ** float(-n)
+            worst = max(worst, float(np.std(r)) / max(tol_abs, abs(float(np.mean(r)))))
+        candidates[n] = worst
+    qualifying = [n for n, res in candidates.items() if res <= tol_fit]
+    if not qualifying:
+        return (candidates, None, None), degenerate.any()
+    best = min(qualifying, key=candidates.get)
+    samples = np.array([(u, float(np.mean(kns * ws ** float(-best))))
+                        for u, kns, ws in zip(us, kn_rows, w_rows)])
+    return (candidates, best, samples), degenerate.any()
+
+
+def _fit_outputs(fit):
+    if isinstance(fit, NoFit):
+        return fit.candidates, None, None
+    return fit.candidates, fit.n, fit.f_samples
+
+
+@pytest.mark.parametrize("family", list(CurveFamily), ids=lambda f: f.tag)
+def test_batched_fit_equals_per_row_loop(family, gallery_five, near_misses):
+    surfaces = list(gallery_five.values()) + near_misses
+    for surf in surfaces:
+        (cands, n, samples), _ = _per_row_fit(surf, family)
+        got = _fit_outputs(fit_power_law(surf, family))
+        assert got[0] == cands and got[1] == n, (surf.label, family)
+        assert samples is None or np.array_equal(got[2], samples), (surf.label, family)
+    if family is S4:
+        # v = 0 is degenerate where delta' = 0: ragged rows, one block each
+        v_grid = np.linspace(-3.0, 3.0, 21)
+        for name in ("right_helicoid", "hyperboloid_edlinger", "orthoid_const_delta",
+                     "conoidal_const_delta"):
+            surf = gallery_five[name]
+            (cands, n, samples), degenerate = _per_row_fit(surf, family, v_grid)
+            assert degenerate, name
+            got = _fit_outputs(fit_power_law(surf, family, v_grid=v_grid))
+            assert got[0] == cands and got[1] == n, name
+            assert samples is None or np.array_equal(got[2], samples), name

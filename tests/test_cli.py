@@ -349,3 +349,30 @@ def test_deeply_nested_expression_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: syntax error at position 64") and "Traceback" not in err
 
+
+
+def test_delta_zero_at_a_traced_point_exits_one(tmp_path, capsys):
+    # delta = (u - a)^2 touches 0 at u = a between two of the construction
+    # gate's samples without changing sign; a trace started there must stop
+    # with the library's error
+    a = 1.0 + math.pi / 32.0
+    spec = write_spec(tmp_path, {
+        "type": "expression", "cx": "0", "cy": "0", "cz": "(u-(1+pi/32))^3/3",
+        "dx": "cos(u)", "dy": "sin(u)", "dz": "0", "domain": [0.0, 2.0 * math.pi]})
+    assert run(["trace", "--spec", spec, "--family", "s1", "--u0", repr(a),
+                "--v0", "0.5", "--steps", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: parameter of distribution vanishes at u = {a!r}\n"
+
+
+@pytest.mark.parametrize("domain", [[0.0, 1e-300], [0.0, 1e300]], ids=["tiny", "huge"])
+def test_extreme_domain_under_standardize_exits_one(tmp_path, capsys, domain):
+    spec = write_spec(tmp_path, {"type": "expression", "cx": "0", "cy": "0", "cz": "u",
+                                 "dx": "cos(u)", "dy": "sin(u)", "dz": "0",
+                                 "domain": domain})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["classify", "--spec", spec, "--standardize"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: arclength table segment of length ")
+    assert "fifth power" in err and "RuntimeWarning" not in err and "Traceback" not in err

@@ -1,14 +1,16 @@
 """Fuzzed SurfaceSpec JSON and verb arguments through `cli.run`.
 
 Whatever the input, the CLI answers with exit code 0, 1 or 2 and lets no
-exception escape. Sizes (grids, exponent ranges, trace steps) are drawn
-small so that each example runs in milliseconds.
+exception escape; a numpy RuntimeWarning fails the test too. Sizes (grids,
+exponent ranges, trace steps) are drawn small so that each example runs in
+milliseconds.
 """
 
 import json
 import math
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ruledgeo.cli import run
@@ -129,9 +131,18 @@ def verb_args(draw):
             f"--step-size={h}"]
 
 
+def helicoid_on(domain):
+    return {"type": "expression", **dict(zip(KEYS, PAIRS[0][0] + PAIRS[0][1])),
+            "domain": domain}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(spec=specs, argv=verb_args(), standardize=st.booleans())
+# extreme finite domains, whose arclength segments no float power can hold
+@example(spec=helicoid_on([0.0, 1e-300]), argv=["classify", "--grid=5"], standardize=True)
+@example(spec=helicoid_on([0.0, 1e300]), argv=["classify", "--grid=5"], standardize=True)
 def test_cli_answers_any_spec_and_arguments_with_an_exit_code(
         tmp_path, capsys, spec, argv, standardize):
     path = tmp_path / "spec.json"

@@ -292,3 +292,108 @@ def test_sigma_of_a_round_off_negative_lambda_is_pi_over_2():
     for u in us.tolist():
         p = point_invariants(surf, u)
         assert p.lam < 0.0 and p.sigma == math.pi / 2.0, u
+
+
+# slot arithmetic against the jet expressions ------------------------------------
+
+
+def _jet_point_invariants(surf, u):
+    """`point_invariants` as jet expressions: the triple products and the
+    quotient run on `Jet2`s, all four slots formed. The reference its slot
+    arithmetic must match bit for bit."""
+    from ruledgeo import jets
+    from ruledgeo.invariants import PointInvariants, sigma_from_lam
+
+    s, e = surf.jets(u)
+    ep = jets.deriv3(e)
+    epp = jets.deriv3(ep)
+    sp = jets.deriv3(s)
+    k_jet = jets.triple(e, ep, epp)
+    delta_jet = jets.triple(e, ep, sp)
+    lam_jet = jets.dot(e, sp) / delta_jet
+    lam = lam_jet.value
+    if isinstance(lam, np.ndarray):
+        u = np.asarray(u, dtype=float)
+        sigma = np.array([sigma_from_lam(x) for x in lam.tolist()])
+    else:
+        u = float(u)
+        sigma = sigma_from_lam(lam)
+    return PointInvariants(u=u, k=k_jet.value, delta=delta_jet.value,
+                           delta_d1=delta_jet.d1, lam=lam, sigma=sigma)
+
+
+_SLOT_SURFACES = {}
+
+
+def _slot_surface(name):
+    """Gallery members, a standardized general pair, a sampled and a
+    functional invariant system, built once."""
+    from ruledgeo.surface import (
+        InvariantTriple,
+        load_spec,
+        surface_from_invariants,
+    )
+
+    if name not in _SLOT_SURFACES:
+        if name == "standardized":
+            surf = load_spec({
+                "type": "expression", "cx": "cos(u)", "cy": "sin(u)", "cz": "u^2/5",
+                "dx": "(1.5 + 0.5*sin(u))*cos(u)", "dy": "(1.5 + 0.5*sin(u))*sin(u)",
+                "dz": "0.3 + 0.1*cos(2*u)", "domain": [0.0, 6.0]}, standardize_input=True)
+        elif name == "samples":
+            surf = load_spec({
+                "type": "invariants", "u": [0, 1, 2, 3, 4, 5],
+                "k": [0.1, 0.3, -0.2, 0.5, 0.2, 0.1], "delta": [1, 1.2, 0.9, 1.1, 1.3, 1],
+                "sigma": [0.5, 0.7, 0.6, 0.9, 0.4, 0.5]})
+        elif name == "functions":
+            surf = surface_from_invariants(InvariantTriple.from_functions(
+                k="0.3*sin(u)", delta="1 + 0.2*cos(u)", lam="0.5 + 0.1*u"))
+        else:
+            surf = _grid_surface(name)
+        _SLOT_SURFACES[name] = surf
+    return _SLOT_SURFACES[name]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["right_helicoid", "hyperboloid_edlinger", "orthoid_const_delta",
+                          "conoidal_const_delta", "generic_skew", "standardized",
+                          "samples", "functions"]),
+    fracs=st.lists(unit, min_size=1, max_size=8),
+)
+def test_point_invariants_equal_the_jet_expressions(name, fracs):
+    from ruledgeo.invariants import point_invariants
+
+    surf = _slot_surface(name)
+    lo, hi = surf.domain
+    us = [lo + f * (hi - lo) for f in fracs]
+    fields = ("u", "k", "delta", "delta_d1", "lam", "sigma")
+    for u in us:
+        got, want = point_invariants(surf, u), _jet_point_invariants(surf, u)
+        for field in fields:
+            assert getattr(got, field) == getattr(want, field), (name, u, field)
+    got, want = point_invariants(surf, np.array(us)), _jet_point_invariants(surf, np.array(us))
+    for field in fields:
+        assert getattr(got, field).tolist() == getattr(want, field).tolist(), (name, field)
+
+
+def test_point_invariants_raise_non_skew_where_delta_vanishes():
+    # s' = (0, 0, (u - a)^2) and e = (cos u, sin u, 0): delta = (u - a)^2
+    # touches 0 at u = a without changing sign
+    from ruledgeo.errors import NonSkew
+    from ruledgeo.invariants import point_invariants
+    from ruledgeo.surface import CurveR3, StandardRuledSurface
+
+    a = 1.0 + math.pi / 32.0
+    dom = (0.0, 2.0 * math.pi)
+    surf = StandardRuledSurface(
+        CurveR3.from_expressions("0", "0", "(u-(1+pi/32))^3/3", dom),
+        CurveR3.from_expressions("cos(u)", "sin(u)", "0", dom),
+        dom,
+    )
+    assert point_invariants(surf, 0.5).delta > 0.0
+    with pytest.raises(NonSkew, match=f"at u = {a!r}$"):
+        point_invariants(surf, a)
+    # on a grid, the first u where delta = 0 is named
+    with pytest.raises(NonSkew, match=f"at u = {a!r}$"):
+        point_invariants(surf, np.array([0.5, a, 2.0, a]))

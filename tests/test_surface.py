@@ -7,6 +7,8 @@ import pytest
 
 from ruledgeo import jets, surface
 from ruledgeo.errors import (
+    CurveDomainError,
+    CurveOverflow,
     DegenerateDirector,
     GaugeViolation,
     IntegrationFailure,
@@ -701,6 +703,30 @@ def test_invariant_triple_validation():
                                        domain=(0.0, 1.0))
     with pytest.raises(ValueError):
         InvariantTriple.from_functions(k=1.0, delta=1.0, domain=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("kw,exc,u_bad", [
+    (dict(k="exp(1000*u)", delta="1", lam="0.5"), CurveOverflow, 0.7978648009116935),
+    (dict(k="1", delta="sqrt(u-3)", lam="0.5"), CurveDomainError, 0.0),
+    (dict(k="1", delta="1", sigma="0.5 + log(u-1)"), CurveDomainError, 0.0),
+], ids=["overflow", "sqrt", "log_sigma"])
+def test_expression_profile_errors_name_u(kw, exc, u_bad):
+    with pytest.raises(exc, match=f"at u = {u_bad!r}$"):
+        InvariantTriple.from_functions(**kw)
+
+
+def test_expression_profile_jet_errors_name_u():
+    inv = InvariantTriple.from_functions(k="exp(100*u)", delta="sqrt(u)", lam="0.5",
+                                         domain=(1.0, 7.0))
+    with pytest.raises(CurveOverflow, match="at u = 7.2$"):
+        inv.k(7.2)
+    with pytest.raises(CurveOverflow, match="at u = 7.2$"):
+        inv.k_jet(7.2)
+    # the nodes of a frame grid take one jet each: the first bad node is named
+    with pytest.raises(CurveOverflow, match="at u = 7.2$"):
+        inv.grid(1.0, 7.2, 2)
+    with pytest.raises(CurveDomainError, match="jet sqrt of a non-positive value at u = -1.0$"):
+        inv.grid(-1.0, 7.0, 2)
 
 
 def test_invariant_triple_from_samples_round_trip():
