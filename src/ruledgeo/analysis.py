@@ -20,6 +20,11 @@ TOL_FIT = 1e-6
 TOL_CLASS = 1e-8
 N_RANGE = (-5, 2)
 
+# size bounds, checked before anything is allocated: points of a uniform u
+# grid, and integers in a searched exponent range
+MAX_GRID = 100_000
+MAX_EXPONENTS = 64
+
 # flags naming surface classes from the table (as opposed to the bare
 # constant-delta condition, which generic surfaces may genuinely satisfy)
 CLASS_FLAGS = (
@@ -54,9 +59,12 @@ class NoFit:
 
 
 def uniform_u_grid(surf, n=33):
-    """n evenly spaced u over the surface's domain; `EmptyGrid` for n < 0."""
+    """n evenly spaced u over the surface's domain; `EmptyGrid` for n < 0
+    and `InvalidArgument` for n > MAX_GRID."""
     if n < 0:
         raise EmptyGrid(f"a grid needs a number of points >= 0, got {n}")
+    if n > MAX_GRID:
+        raise InvalidArgument(f"a grid holds at most {MAX_GRID} points, got {n}")
     return np.linspace(surf.domain[0], surf.domain[1], n)
 
 
@@ -85,6 +93,10 @@ def fit_power_law(
     lo_n, hi_n = (int(n) for n in n_range)
     if lo_n > hi_n:
         raise InvalidArgument(f"exponent range [{lo_n}, {hi_n}] holds no integer")
+    if hi_n - lo_n >= MAX_EXPONENTS:
+        raise InvalidArgument(
+            f"exponent range [{lo_n}, {hi_n}] holds more than {MAX_EXPONENTS} integers"
+        )
     u_grid = uniform_u_grid(surf) if u_grid is None else np.asarray(u_grid, float)
     if u_grid.size == 0:
         raise EmptyGrid("empty u grid")
@@ -284,6 +296,11 @@ class RowResult:
     passed: bool
     per_surface: list  # dicts: surface, passed, n_found, fit_residual, f_residual
 
+    def to_text(self):
+        n = "-" if self.row.n is None else self.row.n
+        return (f"prop {self.row.prop} {self.row.family.tag} f={self.row.f_label} "
+                f"n={n}: {'pass' if self.passed else 'FAIL'}")
+
     def to_json_dict(self):
         return {
             "proposition": self.row.prop,
@@ -326,6 +343,20 @@ def _check_row(row, surfaces, tol_f=1e-6, **fit_kwargs):
         per_surface.append(entry)
     return RowResult(row=row, passed=all(e["passed"] for e in per_surface),
                      per_surface=per_surface)
+
+
+@dataclass
+class CorollaryResult:
+    """The corollary's check on the Edlinger surface, as `verify --prop` reports it."""
+
+    residual: float
+    passed: bool
+
+    def to_json_dict(self):
+        return {"proposition": "corollary", "residual": self.residual, "passed": self.passed}
+
+    def to_text(self):
+        return f"corollary residual {self.residual:.3e}: {'pass' if self.passed else 'FAIL'}"
 
 
 def corollary_residual(surf, n_points=100, seed=20240901):
@@ -464,8 +495,7 @@ def verify_proposition(prop, tol_fit=TOL_FIT, tol_f=1e-6, surfaces=None):
     surfaces = surfaces or _verify_surfaces()
     if str(prop) == "corollary":
         residual = corollary_residual(surfaces["hyperboloid_edlinger"])
-        return [{"proposition": "corollary", "residual": residual,
-                 "passed": residual < 1e-8}]
+        return [CorollaryResult(residual=residual, passed=residual < 1e-8)]
     wanted = str(prop)
     rows = [r for r in _table_rows() if r.prop == wanted]
     if not rows:

@@ -189,29 +189,12 @@ def _cmd_trace(args):
 def _cmd_verify(args):
     if args.prop and not args.all:
         results = analysis.verify_proposition(args.prop, tol_fit=args.tol_fit)
-        ok = all(
-            (r["passed"] if isinstance(r, dict) else r.passed) for r in results
-        )
+        ok = all(r.passed for r in results)
         if args.format == "json":
-            payload = [
-                r if isinstance(r, dict) else r.to_json_dict() for r in results
-            ]
-            _emit(_json_dumps({"passed": ok, "rows": payload}), args.out)
+            rows = [r.to_json_dict() for r in results]
+            _emit(_json_dumps({"passed": ok, "rows": rows}), args.out)
         else:
-            lines = []
-            for r in results:
-                if isinstance(r, dict):
-                    lines.append(
-                        f"corollary residual {r['residual']:.3e}: "
-                        + ("pass" if r["passed"] else "FAIL")
-                    )
-                else:
-                    status = "pass" if r.passed else "FAIL"
-                    lines.append(
-                        f"prop {r.row.prop} {r.row.family.tag} f={r.row.f_label} "
-                        f"n={'-' if r.row.n is None else r.row.n}: {status}"
-                    )
-            _emit("\n".join(lines), args.out)
+            _emit("\n".join(r.to_text() for r in results), args.out)
         return 0 if ok else 2
     report = analysis.verify_all(tol_fit=args.tol_fit)
     if args.format == "json":

@@ -30,6 +30,9 @@ from .invariants import (
     principal_directions_from_forms,
 )
 
+# the most RK4 steps one trace may take; its points are kept in memory
+MAX_TRACE_STEPS = 1_000_000
+
 
 class CurveFamily(Enum):
     CURVATURE_1 = "lc1"  # curvature lines, k1 branch
@@ -205,7 +208,8 @@ def trace_curve(family, surf, u0, v0, steps, step_size):
     and at the new point, where the value orients the next step and is
     that step's first stage. The trace stops early at the domain boundary
     or at a field degeneracy, recording the stop reason; a degenerate
-    starting point raises, and so do a non-finite v0 or step size.
+    starting point raises, and so do a non-finite v0 or step size and a
+    number of steps outside [0, MAX_TRACE_STEPS].
     """
     lo, hi = surf.domain
     if not lo <= u0 <= hi:
@@ -215,6 +219,8 @@ def trace_curve(family, surf, u0, v0, steps, step_size):
             f"trace needs a finite v0 and step size, got v0 = {v0}, "
             f"step size = {step_size}"
         )
+    if not 0 <= steps <= MAX_TRACE_STEPS:
+        raise InvalidArgument(f"trace needs 0 <= steps <= {MAX_TRACE_STEPS}, got {steps}")
     ref = direction_field(family, surf, u0, v0)  # raises if degenerate at start
 
     u, v = float(u0), float(v0)

@@ -57,8 +57,12 @@ def sigma_from_lam(lam):
 
     A round-off-sized negative lambda (about -1e-16 or less) gives
     atan(1/lambda) = -pi/2, the end the interval excludes; it is the same
-    angle as +pi/2, which is returned instead.
+    angle as +pi/2, which is returned instead. A 1-d array of lambda is
+    mapped through `math.atan` element by element, so a grid matches its
+    points exactly.
     """
+    if isinstance(lam, np.ndarray) and lam.ndim:
+        return np.array([sigma_from_lam(x) for x in lam.tolist()])
     if lam == 0.0:
         return math.pi / 2.0
     sigma = math.atan(1.0 / lam)
@@ -105,20 +109,13 @@ def point_invariants(surf, u):
     if i is not None:
         raise NonSkew(f"parameter of distribution vanishes at u = {np.asarray(u)[i]}")
     lam = (a0 * b0 + a1 * b1 + a2 * b2) / delta
-    if isinstance(lam, np.ndarray):
-        # math.atan element by element, so a grid matches its points exactly
-        u = np.asarray(u, dtype=float)
-        sigma = np.array([sigma_from_lam(x) for x in lam.tolist()])
-    else:
-        u = float(u)
-        sigma = sigma_from_lam(lam)
     return PointInvariants(
-        u=u,
+        u=np.asarray(u, dtype=float) if isinstance(lam, np.ndarray) else float(u),
         k=k,
         delta=delta,
         delta_d1=delta_d1,
         lam=lam,
-        sigma=sigma,
+        sigma=sigma_from_lam(lam),
     )
 
 

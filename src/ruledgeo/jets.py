@@ -108,10 +108,6 @@ def scale(a, f):
     return (a[0] * f, a[1] * f, a[2] * f)
 
 
-def add3(a, b):
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
 def sub3(a, b):
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 

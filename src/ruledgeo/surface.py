@@ -81,6 +81,28 @@ def _named_errors(fn, x, u):
         raise mapped(f"{exc} at u = {u}") from None
 
 
+def _on_grid(grid_fn, point_fn, us):
+    """Rows of `grid_fn(us)`, a sequence of arrays or scalars broadcast to
+    the grid, as one 2-d array. Where the array rules raise or give a
+    non-finite value, the rows are built from `point_fn(u)` at every u
+    instead: the point path then decides, raising its own error at the
+    first offending u, or giving the values where only the array rules fail.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            rows = np.array([np.broadcast_to(x, us.shape) for x in grid_fn(us)], dtype=float)
+            if np.isfinite(rows).all():
+                return rows
+        except (TypeError, ValueError, ArithmeticError):
+            pass
+    return np.array([point_fn(u) for u in us.tolist()], dtype=float).T
+
+
+def _slots(comps):
+    """The value, d1, d2 and d3 slots of three component jets, in turn."""
+    return [x for c in comps for x in (c.value, c.d1, c.d2, c.d3)]
+
+
 class CurveR3:
     """Curve in R^3 with order-2 jet access, defined on a closed interval.
 
@@ -144,25 +166,8 @@ class CurveR3:
 
     def _eval_grid(self, us):
         self._check_domain(us)
-        out = None
-        with np.errstate(all="ignore"):
-            try:
-                out = tuple(
-                    Jet2(*(np.broadcast_to(x, us.shape) for x in (c.value, c.d1, c.d2, c.d3)))
-                    for c in self.raw_eval(us)
-                )
-            except (ValueError, ArithmeticError):
-                pass
-        if out is None or not all(
-            np.isfinite(x).all() for c in out for x in (c.value, c.d1, c.d2)
-        ):
-            # The scalar path decides: it raises its own error at the first
-            # offending u, or, where only the grid rules fail, gives the jets.
-            cols = zip(*(self.eval(u) for u in us.tolist()))
-            out = tuple(
-                Jet2(*np.array([(c.value, c.d1, c.d2, c.d3) for c in col]).T) for col in cols
-            )
-        return out
+        rows = _on_grid(lambda x: _slots(self.raw_eval(x)), lambda u: _slots(self.eval(u)), us)
+        return tuple(Jet2(*rows[i:i + 4]) for i in (0, 4, 8))
 
     def point(self, u):
         return np.array(jets.values3(self.eval(u)))
@@ -336,23 +341,26 @@ class ProfileGrid(NamedTuple):
     lam_mid: np.ndarray
 
 
+def _cot(s):
+    return jets.cos(s) / jets.sin(s)
+
+
 class InvariantTriple:
     """Complete invariant system (k, delta, sigma) of a skew ruled surface.
 
-    Profiles are callables of u usable with floats (values) and jets
-    (derivatives). sigma lies in (-pi/2, pi/2] and carries the sign of
-    delta wherever lambda = cot(sigma) is nonzero; lambda is available
-    directly via `lam` to avoid trigonometric branch loss. `splines`,
-    when given, are the (k, delta, sigma) `CubicSpline`s the profiles
-    interpolate; `grid` then evaluates them on whole arrays.
+    Profiles are callables of u that take floats (values), 1-d arrays of
+    u and jets whose slots are such arrays (derivatives). A profile that
+    rejects arrays, or whose array values are not finite, is evaluated
+    point by point instead. sigma lies in (-pi/2, pi/2] and carries the
+    sign of delta wherever lambda = cot(sigma) is nonzero; lambda is
+    available directly via `lam` to avoid trigonometric branch loss.
     """
 
-    def __init__(self, k_fn, delta_fn, lam_fn, sigma_fn, domain, splines=None):
+    def __init__(self, k_fn, delta_fn, lam_fn, sigma_fn, domain):
         self._k = k_fn
         self._delta = delta_fn
         self._lam = lam_fn
         self._sigma = sigma_fn
-        self._splines = splines
         self.domain = (float(domain[0]), float(domain[1]))
         self._validate()
 
@@ -368,11 +376,10 @@ class InvariantTriple:
         d_fn = _as_profile(delta)
         if lam is not None:
             lam_fn = _as_profile(lam)
-            sigma_fn = lambda u: sigma_from_lam(lam_fn(float(u)))
+            sigma_fn = lambda u: sigma_from_lam(lam_fn(u))
         else:
-            sig = _as_profile(sigma)
-            sigma_fn = lambda u: sig(float(u))
-            lam_fn = lambda u: jets.cos(sig(u)) / jets.sin(sig(u))
+            sigma_fn = _as_profile(sigma)
+            lam_fn = lambda u: _cot(sigma_fn(u))
         return cls(k_fn, d_fn, lam_fn, sigma_fn, domain)
 
     @classmethod
@@ -394,11 +401,11 @@ class InvariantTriple:
             raise SpecFormatError("u samples must be strictly increasing")
 
         def spline_profile(sp):
-            def fn(x):
+            def fn(x, nu=0):
                 if isinstance(x, Jet2):
-                    outer = Jet2(*(float(sp(x.value, nu)) for nu in range(4)))
-                    return jets.compose(outer, x)
-                return float(sp(x))
+                    return jets.compose(Jet2(*(fn(x.value, i) for i in range(4))), x)
+                # a float gives a float, so cot(sigma) divides by zero as math does
+                return sp(x, nu) if isinstance(x, np.ndarray) else float(sp(x, nu))
 
             return fn
 
@@ -410,26 +417,31 @@ class InvariantTriple:
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise SpecFormatError(f"no cubic spline through the samples: {exc}") from None
         k_fn, d_fn, sig_fn = map(spline_profile, splines)
-        lam_fn = lambda x: jets.cos(sig_fn(x)) / jets.sin(sig_fn(x))
-        return cls(k_fn, d_fn, lam_fn, sig_fn, (u[0], u[-1]), splines)
+        lam_fn = lambda x: _cot(sig_fn(x))
+        return cls(k_fn, d_fn, lam_fn, sig_fn, (u[0], u[-1]))
 
     def _validate(self, n=64):
         us = np.linspace(self.domain[0], self.domain[1], n)
-        samples = [
-            (self.k(u), self.delta(u), self.sigma(u), self.lam(u)) for u in us
-        ]
-        for u, values in zip(us, samples):
-            if not all(map(math.isfinite, values)):
-                raise InvalidSigma(f"non-finite invariant at u = {u}")
-        _skew_gate(us, [d for _, d, _, _ in samples], 0.0)
-        for u, (_, d, s, lam) in zip(us, samples):
-            if not (-math.pi / 2.0 < s <= math.pi / 2.0 + 1e-12):
-                raise InvalidSigma(f"sigma(u) = {s} outside (-pi/2, pi/2] at u = {u}")
-            # sign sigma = sign delta; vacuous at the sigma = pi/2 boundary
-            if abs(lam) > 1e-9 and math.copysign(1.0, s) != math.copysign(1.0, d):
-                raise InvalidSigma(
-                    f"sign(sigma) != sign(delta) at u = {u} (sigma={s}, delta={d})"
-                )
+        rows = _on_grid(
+            lambda x: (self._k(x), self._delta(x), self._sigma(x), self._lam(x)),
+            lambda u: (self.k(u), self.delta(u), self.sigma(u), self.lam(u)),
+            us,
+        )
+        i = jets.first_true(~np.isfinite(rows).all(axis=0))
+        if i is not None:
+            raise InvalidSigma(f"non-finite invariant at u = {us[i]}")
+        _, d, s, lam = rows
+        _skew_gate(us, d, 0.0)
+        # sign sigma = sign delta; vacuous at the sigma = pi/2 boundary
+        out_of_range = ~((-math.pi / 2.0 < s) & (s <= math.pi / 2.0 + 1e-12))
+        mismatch = (np.abs(lam) > 1e-9) & (np.copysign(1.0, s) != np.copysign(1.0, d))
+        i = jets.first_true(out_of_range | mismatch)
+        if i is not None and out_of_range[i]:
+            raise InvalidSigma(f"sigma(u) = {s[i]} outside (-pi/2, pi/2] at u = {us[i]}")
+        if i is not None:
+            raise InvalidSigma(
+                f"sign(sigma) != sign(delta) at u = {us[i]} (sigma={s[i]}, delta={d[i]})"
+            )
 
     def k(self, u):
         return float(self._k(float(u)))
@@ -463,31 +475,26 @@ class InvariantTriple:
             ) from None
 
     def grid(self, lo, hi, n):
-        """`ProfileGrid` of the n-step uniform grid on [lo, hi].
-
-        Spline profiles are evaluated on whole arrays; other profiles take
-        one jet per node and one value per midpoint.
-        """
+        """`ProfileGrid` of the n-step uniform grid on [lo, hi]: one jet
+        call on the node array and one value call on the midpoint array."""
         h = (hi - lo) / n
         us = lo + h * np.arange(n + 1)
-        um = us[:-1] + 0.5 * h
-        if self._splines is not None:
-            k, d, sig = self._splines
-            s = sig(us)
-            sin_s = np.sin(s)
-            sm = sig(um)
-            return ProfileGrid(
-                us, k(us), k(us, 1), d(us), d(us, 1),
-                np.cos(s) / sin_s, -sig(us, 1) / (sin_s * sin_s),
-                k(um), d(um), np.cos(sm) / np.sin(sm),
-            )
-        nodes = np.array([
-            [x for jet in (self.k_jet(u), self.delta_jet(u), self.lam_jet(u))
-             for x in (jet.value, jet.d1)]
-            for u in us.tolist()
-        ])
-        mids = np.array([(self.k(u), self.delta(u), self.lam(u)) for u in um.tolist()])
-        return ProfileGrid(us, *nodes.T, *mids.T)
+
+        def slots(*jet3):
+            return [x for jet in jet3 for x in (jet.value, jet.d1)]
+
+        nodes = _on_grid(
+            lambda x: slots(*(jets.as_jet(f(Jet2.variable(x)))
+                              for f in (self._k, self._delta, self._lam))),
+            lambda u: slots(self.k_jet(u), self.delta_jet(u), self.lam_jet(u)),
+            us,
+        )
+        mids = _on_grid(
+            lambda x: (self._k(x), self._delta(x), self._lam(x)),
+            lambda u: (self.k(u), self.delta(u), self.lam(u)),
+            us[:-1] + 0.5 * h,
+        )
+        return ProfileGrid(us, *nodes, *mids)
 
 
 # moving-frame integration -----------------------------------------------------
@@ -662,17 +669,11 @@ _GL4_X = np.array(_GL4_NODES)
 
 
 def _segment_integral(fn, a, b):
-    """Four-point Gauss-Legendre integral of fn over [a, b].
-
-    `a` and `b` are floats, or arrays of segment ends; then `fn` is called
-    once on the 4 nodes of every segment. The weighted sum runs in the
-    same order either way, so both give the same numbers.
-    """
+    """Four-point Gauss-Legendre integrals of fn over the segments [a, b],
+    `a` and `b` arrays of segment ends: one call of `fn` on the 4 nodes of
+    every segment."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    if isinstance(mid, np.ndarray):
-        f = fn(np.ravel(mid[:, None] + half[:, None] * _GL4_X)).reshape(-1, 4).T
-    else:
-        f = [fn(mid + half * x) for x in _GL4_NODES]
+    f = fn(np.ravel(mid[:, None] + half[:, None] * _GL4_X)).reshape(-1, 4).T
     return half * sum(w * fx for w, fx in zip(_GL4_WEIGHTS, f))
 
 

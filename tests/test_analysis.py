@@ -288,7 +288,7 @@ def test_verify_proposition_rows_pass():
         rows = verify_proposition(prop)
         assert rows and all(r.passed for r in rows), prop
     corr = verify_proposition("corollary")
-    assert corr[0]["passed"] and corr[0]["residual"] < 1e-8
+    assert corr[0].passed and corr[0].residual < 1e-8
 
 
 def test_verify_proposition_unknown():

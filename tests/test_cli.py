@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import pytest
@@ -330,11 +331,26 @@ def test_jet_domain_errors_exit_one(tmp_path, capsys, kind, verb, standardize):
      "step size = nan"),
     (["trace", "--family", "s1", "--u0", "1", "--v0", "0.5", "--step-size=-inf"],
      "step size = -inf"),
+    # one past each size bound
+    (["classify", "--grid", "100001"], "at most 100000 points, got 100001"),
+    (["invariants", "--grid", "100001"], "at most 100000 points, got 100001"),
+    (["fit", "--family", "lc1", "--n-min", "0", "--n-max", "64"], "more than 64 integers"),
+    (["trace", "--family", "s1", "--u0", "1", "--v0", "0.5", "--steps", "1000001"],
+     "got 1000001"),
+    (["trace", "--family", "s1", "--u0", "1", "--v0", "0.5", "--steps=-5"], "got -5"),
 ], ids=["classify_grid", "invariants_grid", "fit_n_range", "trace_v0_inf",
-        "trace_v0_nan", "trace_h_nan", "trace_h_inf"])
+        "trace_v0_nan", "trace_h_nan", "trace_h_inf", "classify_grid_cap",
+        "invariants_grid_cap", "fit_n_range_cap", "trace_steps_cap", "trace_steps_negative"])
 def test_empty_or_non_finite_arguments_exit_one(tmp_path, capsys, argv, named):
     spec = write_spec(tmp_path, {"type": "gallery", "name": "hyperboloid_edlinger"})
-    assert run([argv[0], "--spec", spec, *argv[1:]]) == 1
+    tracemalloc.start()
+    try:
+        assert run([argv[0], "--spec", spec, *argv[1:]]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # rejected before any grid is allocated: 100 001 floats alone take 800 kB
+    assert peak < 2**19
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert named in captured.err and captured.out == ""

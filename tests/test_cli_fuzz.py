@@ -9,7 +9,6 @@ milliseconds.
 import json
 import math
 
-import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -136,7 +135,6 @@ def helicoid_on(domain):
             "domain": domain}
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(spec=specs, argv=verb_args(), standardize=st.booleans())

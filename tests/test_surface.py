@@ -24,11 +24,13 @@ from ruledgeo.surface import (
     DEFAULT_DOMAIN,
     CurveR3,
     InvariantTriple,
+    ProfileGrid,
     StandardRuledSurface,
     _GL4_NODES,
     _GL4_WEIGHTS,
     _gauge_residuals,
     _propagate_frame,
+    _skew_gate,
     gallery,
     load_spec,
     standardize,
@@ -840,6 +842,144 @@ def test_sample_grid_matches_jets():
         assert abs(g.k_mid[i] - inv.k(u)) < 1e-12
         assert abs(g.delta_mid[i] - inv.delta(u)) < 1e-12
         assert abs(g.lam_mid[i] - inv.lam(u)) < 1e-12
+
+
+# one array path for invariant profiles --------------------------------------------
+
+
+def _loop_profile_grid(inv, lo, hi, n):
+    """`InvariantTriple.grid` as a loop: one jet per node, one value per midpoint."""
+    h = (hi - lo) / n
+    us = lo + h * np.arange(n + 1)
+    nodes = np.array([
+        [x for jet in (inv.k_jet(u), inv.delta_jet(u), inv.lam_jet(u))
+         for x in (jet.value, jet.d1)]
+        for u in us.tolist()
+    ])
+    mids = np.array([(inv.k(u), inv.delta(u), inv.lam(u))
+                     for u in (us[:-1] + 0.5 * h).tolist()])
+    return ProfileGrid(us, *nodes.T, *mids.T)
+
+
+_EXACT_PROFILES = {
+    "numbers": dict(k=0.8, delta=-1.0, lam=-0.99),
+    "sin_cos": dict(k="0.5 + 0.3*cos(u)", delta="-1 - 0.2*sin(2*u)",
+                    sigma="-1.2 + 0.1*sin(u)"),
+    "lam_string": dict(k="0.9 + 0.25*sin(u + 0.4)", delta="1.1*(1 + 0.15*sin(u + 2))",
+                       lam="0.7 + 0.2*sin(u + 1)"),
+    "callable": dict(k=lambda u: 0.9 + 0.25 * jets.sin(u + 0.4), delta=1.1,
+                     lam=lambda u: 0.7 + 0.2 * jets.cos(u)),
+}
+
+# numpy's exp, tan, cosh and power may differ from math's by an ulp
+_CLOSE_PROFILES = {
+    "exp_tan": dict(k="0.5 + 0.1*exp(sin(u))", delta="1 + 0.1*tan(0.2*u)", lam="0.6"),
+    "cosh_power": dict(k="(2 + sin(u))^0.7", delta="-0.5 - 0.1*cosh(0.3*u)",
+                       sigma="-1 + 0.02*u^2"),
+}
+
+
+def _assert_close(got, want, rtol=1e-14):
+    assert np.all(np.abs(got - want) <= rtol * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_PROFILES) + sorted(_CLOSE_PROFILES))
+def test_profile_grid_equals_the_point_loop(name):
+    kw = _EXACT_PROFILES.get(name) or _CLOSE_PROFILES[name]
+    inv = InvariantTriple.from_functions(**kw, domain=(0.0, 2.0 * math.pi))
+    got, want = inv.grid(0.5, 6.0, 257), _loop_profile_grid(inv, 0.5, 6.0, 257)
+    for field in ProfileGrid._fields:
+        if name in _EXACT_PROFILES:
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        else:
+            _assert_close(getattr(got, field), getattr(want, field))
+
+
+def test_spline_profile_grid_matches_the_spline_formulas():
+    from scipy.interpolate import CubicSpline
+
+    us = np.linspace(0.0, 2.0 * math.pi, 40)
+    samples = (0.8 + 0.3 * np.sin(us), 1.0 + 0.2 * np.cos(us),
+               np.arctan(1.0 / (0.7 + 0.2 * np.sin(2.0 * us))))
+    inv = InvariantTriple.from_samples(us, *samples)
+    k, d, sig = (CubicSpline(us, y) for y in samples)
+    g = inv.grid(0.0, 2.0 * math.pi, 512)
+    um = g.u[:-1] + 0.5 * (g.u[1] - g.u[0])
+    s, sm = sig(g.u), sig(um)
+    exact = {"k": k(g.u), "dk": k(g.u, 1), "delta": d(g.u), "ddelta": d(g.u, 1),
+             "lam": np.cos(s) / np.sin(s), "k_mid": k(um), "delta_mid": d(um),
+             "lam_mid": np.cos(sm) / np.sin(sm)}
+    for field, want in exact.items():
+        assert np.array_equal(getattr(g, field), want), field
+    # the jet quotient rule, against -sigma' / sin^2 sigma
+    _assert_close(g.dlam, -sig(g.u, 1) / (np.sin(s) * np.sin(s)))
+
+
+def _loop_validate(inv, n=64):
+    """`InvariantTriple._validate` as a loop over scalar samples."""
+    us = np.linspace(inv.domain[0], inv.domain[1], n)
+    samples = [(inv.k(u), inv.delta(u), inv.sigma(u), inv.lam(u)) for u in us]
+    for u, values in zip(us, samples):
+        if not all(map(math.isfinite, values)):
+            raise InvalidSigma(f"non-finite invariant at u = {u}")
+    _skew_gate(us, [d for _, d, _, _ in samples], 0.0)
+    for u, (_, d, s, lam) in zip(us, samples):
+        if not (-math.pi / 2.0 < s <= math.pi / 2.0 + 1e-12):
+            raise InvalidSigma(f"sigma(u) = {s} outside (-pi/2, pi/2] at u = {u}")
+        if abs(lam) > 1e-9 and math.copysign(1.0, s) != math.copysign(1.0, d):
+            raise InvalidSigma(
+                f"sign(sigma) != sign(delta) at u = {u} (sigma={s}, delta={d})"
+            )
+
+
+class _Unvalidated(InvariantTriple):
+    def _validate(self):
+        pass
+
+
+_KNOTS = np.linspace(0.0, 63.0, 64)  # also the validation samples
+_BAD_TRIPLES = {
+    "non_finite": ("from_functions", dict(k=lambda u: 1e308 * jets.exp(u), delta=1.0,
+                                          lam=0.5, domain=(0.0, 1.0))),
+    "overflow": ("from_functions", dict(k="exp(1000*u)", delta="1", lam="0.5")),
+    "sqrt": ("from_functions", dict(k="1", delta="sqrt(u-3)", lam="0.5")),
+    "sigma_zero": ("from_functions", dict(k=1.0, delta=1.0, sigma="0.5*(u - 1)",
+                                          domain=(0.0, 63.0))),
+    "sigma_zero_spline": ("from_samples", dict(u=_KNOTS, k=np.ones(64), delta=np.ones(64),
+                                               sigma=0.01 * (_KNOTS - 1.0))),
+    "delta_zero": ("from_functions", dict(k=1.0, delta="u - 1", lam=0.5,
+                                          domain=(0.0, 63.0))),
+    "sign_change": ("from_functions", dict(k=1.0, delta="cos(u)", lam=0.5)),
+    "out_of_range": ("from_functions", dict(k=1.0, delta=1.0, sigma="0.5 + 0.2*u")),
+    "mismatch": ("from_functions", dict(k=1.0, delta=1.0, lam=-1.0)),
+    "mismatch_first": ("from_functions", dict(k=1.0, delta=1.0, sigma="1 - 0.5*u")),
+    "range_first": ("from_functions", dict(k=1.0, delta=1.0, sigma="1.6 - 0.5*u")),
+    "range_and_mismatch": ("from_functions", dict(k=1.0, delta=1.0, sigma=-1.6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_TRIPLES))
+def test_validation_fails_as_the_scalar_loop(name):
+    build, kw = _BAD_TRIPLES[name]
+    with pytest.raises(Exception) as loop:
+        _loop_validate(getattr(_Unvalidated, build)(**kw))
+    with pytest.raises(type(loop.value)) as array:
+        getattr(InvariantTriple, build)(**kw)
+    assert type(array.value) is type(loop.value)
+    assert str(array.value) == str(loop.value)
+
+
+def test_profile_that_rejects_arrays_is_evaluated_point_by_point():
+    def k(u):
+        if isinstance(u, np.ndarray) or isinstance(getattr(u, "value", None), np.ndarray):
+            raise TypeError("floats only")
+        return 0.9 + 0.25 * jets.sin(u + 0.4)
+
+    inv = InvariantTriple.from_functions(k=k, delta=1.1, lam=0.7)
+    got, want = inv.grid(0.0, 6.0, 64), _loop_profile_grid(inv, 0.0, 6.0, 64)
+    for field in ProfileGrid._fields:
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert surface_from_invariants(inv, n_steps=256).domain == DEFAULT_DOMAIN
 
 
 def test_frame_orthonormality_drift():
