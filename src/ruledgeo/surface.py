@@ -15,7 +15,6 @@ import random
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import jets
 from .errors import (
@@ -45,6 +44,10 @@ TOL_UNIT_E = 1e-8
 TOL_UNIT_EP = 1e-7
 TOL_ORTH = 1e-7
 TOL_SKEW = 1e-8
+
+# the most samples an invariant profile may have: the spline's slope system
+# is solved by a Python sweep over them (about 0.6 s at this size)
+MAX_SAMPLES = 100_000
 
 _GL4_NODES = (
     -0.8611363115940526,
@@ -182,17 +185,23 @@ class CurveR3:
         return CurveR3(neg_raw, self.domain, self.name)
 
 
-def _first_order(striction, director, us):
-    """Values of e, e' and s' at the points `us` (a float or an array)."""
-    e = director.eval(us)
-    s = striction.eval(us)
+def _first_order(e, s):
+    """Values of e, e' and s' from the director jets e and striction jets s."""
     return jets.values3(e), tuple(c.d1 for c in e), tuple(c.d1 for c in s)
 
 
-def _gauge_residuals(striction, director, us):
-    """Worst standard-form residuals over the sample points, and the
-    signed parameter of distribution at each of them (an array)."""
-    ev, epv, spv = _first_order(striction, director, np.asarray(us, dtype=float))
+def _delta_and_slope(e, s):
+    """delta = (e, e', s') and delta' = (e, e'', s') + (e, e', s'') from
+    the director jets e and the striction jets s."""
+    ev, epv, spv = _first_order(e, s)
+    eppv, sppv = tuple(c.d2 for c in e), tuple(c.d2 for c in s)
+    return jets.triple(ev, epv, spv), jets.triple(ev, eppv, spv) + jets.triple(ev, epv, sppv)
+
+
+def _residuals(e, s):
+    """Worst standard-form residuals over the jets of a sample grid, and
+    the signed parameter of distribution at each sample (an array)."""
+    ev, epv, spv = _first_order(e, s)
     deltas = jets.triple(ev, epv, spv)
     worst = {
         "unit_e": float(np.max(np.abs(jets.norm(ev) - 1.0), initial=0.0)),
@@ -201,6 +210,13 @@ def _gauge_residuals(striction, director, us):
         "min_abs_delta": float(np.min(np.abs(deltas), initial=math.inf)),
     }
     return worst, deltas
+
+
+def _gauge_residuals(striction, director, us):
+    """Worst standard-form residuals over the sample points, and the
+    signed parameter of distribution at each of them (an array)."""
+    us = np.asarray(us, dtype=float)
+    return _residuals(director.eval(us), striction.eval(us))
 
 
 def _skew_gate(us, deltas, tol):
@@ -220,6 +236,65 @@ def _skew_gate(us, deltas, tol):
             f"parameter of distribution changes sign between u = {us[j]} "
             f"and u = {us[j + 1]}; surface is torsal in between"
         )
+
+
+# bisection steps of the between-samples skew check: they shrink a sample
+# interval to 2^-64 of itself (adjacent floats where |u| >= 2.5e-4 h), where
+# delta differs from its least value by ~ delta'' w^2, far below TOL_SKEW
+_SKEW_BISECTIONS = 64
+
+
+def _skew_between_samples(striction, director, us, e, s, tol):
+    """Raise `NonSkew` where |delta| falls to `tol` between two samples
+    without changing sign. `e` and `s` are the jets at the samples `us`,
+    on which `_skew_gate` has passed.
+
+    The cubic Hermite of (delta, delta') on each sample interval screens
+    for a dip below half the smaller end value |delta|. On the flagged
+    intervals, all at once, delta' is bisected from the cubic's least point
+    towards its zero, and the least |delta| met is kept. Every value
+    compared with `tol` is one of the surface, never one of the cubic.
+    """
+    h = np.diff(us)
+    with np.errstate(all="ignore"):
+        deltas, slopes = _delta_and_slope(e, s)
+        d0, d1 = np.abs(deltas[:-1]), np.abs(deltas[1:])
+        # The Hermite basis gives H >= min(d0, d1) - 4/27 (|m0| + |m1|), so
+        # no interval dips below half unless this bound allows it.
+        reach = h * (np.abs(slopes[:-1]) + np.abs(slopes[1:]))
+        if not (reach > 3.375 * np.minimum(d0, d1)).any():
+            return
+        sign = np.sign(deltas[:-1])
+        m0, m1 = sign * h * slopes[:-1], sign * h * slopes[1:]
+        # H(t) = d0 + m0 t + b t^2 + c t^3 on [0, 1] dips below both ends
+        # only at a root of H' = m0 + 2 b t + 3 c t^2 (c = 0: the last
+        # candidate). Every candidate is a point of [0, 1], so a spurious
+        # one cannot hide the least.
+        b = 3.0 * (d1 - d0) - 2.0 * m0 - m1
+        c = 2.0 * (d0 - d1) + m0 + m1
+        root = np.sqrt(np.maximum(b * b - 3.0 * c * m0, 0.0))
+        t = np.stack([(root - b) / (3.0 * c), -(b + root) / (3.0 * c), -m0 / (2.0 * b)])
+        t = np.clip(np.nan_to_num(t, nan=0.0), 0.0, 1.0)
+        cubic = ((c * t + b) * t + m0) * t + d0
+        ivs = np.flatnonzero(cubic.min(axis=0) < 0.5 * np.minimum(d0, d1))
+    if not ivs.size:
+        return
+    lo, hi, sign = us[ivs], us[ivs + 1], sign[ivs]
+    mid = lo + h[ivs] * t[np.argmin(cubic[:, ivs], axis=0), ivs]
+    best, best_u = np.full(ivs.size, math.inf), mid
+    for _ in range(_SKEW_BISECTIONS):
+        with np.errstate(all="ignore"):
+            delta, slope = _delta_and_slope(director.eval(mid), striction.eval(mid))
+        closer = np.abs(delta) < best
+        best, best_u = np.where(closer, np.abs(delta), best), np.where(closer, mid, best_u)
+        falling = sign * slope < 0.0
+        lo, hi = np.where(falling, mid, lo), np.where(falling, hi, mid)
+        mid = 0.5 * (lo + hi)
+        if not ((lo < mid) & (mid < hi)).any():
+            break
+    i = jets.first_true(best <= tol)
+    if i is not None:
+        raise NonSkew(f"parameter of distribution vanishes at u = {float(best_u[i])!r}")
 
 
 class _LastCall:
@@ -264,7 +339,8 @@ class StandardRuledSurface:
         self.label = label
         if check:
             us = np.linspace(self.domain[0], self.domain[1], n_check)
-            worst, deltas = _gauge_residuals(striction, director, us)
+            e, s = director.eval(us), striction.eval(us)
+            worst, deltas = _residuals(e, s)
             problems = []
             if worst["unit_e"] > TOL_UNIT_E:
                 problems.append(f"| |e|-1 | = {worst['unit_e']:.3e}")
@@ -278,6 +354,7 @@ class StandardRuledSurface:
                     + " (use standardize() for general input)"
                 )
             _skew_gate(us, deltas, TOL_SKEW)
+            _skew_between_samples(striction, director, us, e, s, TOL_SKEW)
 
     def jets(self, u):
         """(striction jets, director jets) at u, a float or a 1-d array.
@@ -345,6 +422,84 @@ def _cot(s):
     return jets.cos(s) / jets.sin(s)
 
 
+def _not_a_knot_coefficients(x, ys):
+    """Coefficients of the not-a-knot cubic splines through (x, y) for each
+    row y of `ys`, shape (rows, n - 1, 4): on [x_i, x_i+1] a spline is
+    ((c0 h + c1) h + c2) h + c3 with h the distance from x_i.
+
+    The knot slopes solve the tridiagonal system of scipy's `CubicSpline`,
+    row for row, in one Thomas sweep for all rows of `ys`: its matrix
+    depends on x only. A zero or non-finite pivot (a spacing of x too
+    uneven for the system) or a non-finite coefficient (one that
+    overflows) raises `SpecFormatError`.
+    """
+    n, xs = len(x), x.tolist()
+    w0, w1 = xs[2] - xs[0], xs[-1] - xs[-3]
+    with np.errstate(all="ignore"):
+        dx = np.diff(x)
+        slope = np.diff(ys, axis=1) / dx
+        rhs = np.empty((n, len(ys)))
+        rhs[1:-1] = (3.0 * (dx[1:] * slope[:, :-1] + dx[:-1] * slope[:, 1:])).T
+        rhs[0] = ((dx[0] + 2.0 * w0) * dx[1] * slope[:, 0] + dx[0] ** 2 * slope[:, 1]) / w0
+        rhs[-1] = (dx[-1] ** 2 * slope[:, -2]
+                   + (2.0 * w1 + dx[-1]) * dx[-2] * slope[:, -1]) / w1
+        inner = (2.0 * (dx[:-1] + dx[1:])).tolist()
+    # Python floats from here on, so the caller's errstate does not apply
+    h, rows = dx.tolist(), rhs.tolist()
+    diag = [h[1], *inner, h[-2]]
+    upper = [w0, *h[:-1]]  # entries (i, i + 1)
+    lower = [*h[1:], w1]  # entries (i + 1, i)
+    for i in range(n):
+        if i:
+            f = lower[i - 1] / diag[i - 1]
+            diag[i] -= f * upper[i - 1]
+            rows[i] = [r - f * p for r, p in zip(rows[i], rows[i - 1])]
+        if diag[i] == 0.0 or not math.isfinite(diag[i]):
+            raise SpecFormatError("no cubic spline through the samples: the u spacing "
+                                  "makes its slope system singular or overflow")
+    rows[-1] = [r / diag[-1] for r in rows[-1]]
+    for i in range(n - 2, -1, -1):
+        rows[i] = [(r - upper[i] * q) / diag[i] for r, q in zip(rows[i], rows[i + 1])]
+    s = np.array(rows).T
+    with np.errstate(all="ignore"):
+        t = (s[:, :-1] + s[:, 1:] - 2.0 * slope) / dx
+        coef = np.stack([t / dx, (slope - s[:, :-1]) / dx - t, s[:, :-1], ys[:, :-1]], axis=-1)
+    if not np.isfinite(coef).all():
+        raise SpecFormatError("no cubic spline through the samples: its coefficients overflow")
+    return coef
+
+
+def _piecewise_cubic(knots, coef):
+    """Profile of the piecewise cubic with coefficient rows `coef` between
+    `knots`: x in [knots[i], knots[i+1]) uses row i and the end rows extend
+    beyond the ends. A float gives a float (so cot(sigma) divides by zero
+    as math does), an array an array, and a jet the jet of the cubic
+    composed with it, from one interval lookup."""
+    last = len(coef) - 1
+    knot_list, rows = knots.tolist(), coef.tolist()
+
+    def piece(x):
+        if isinstance(x, np.ndarray):
+            i = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, last)
+            return x - knots[i], coef[i].T
+        i = min(max(bisect.bisect_right(knot_list, x) - 1, 0), last)
+        return x - knot_list[i], rows[i]
+
+    def fn(x):
+        if isinstance(x, Jet2):
+            h, (c0, c1, c2, c3) = piece(x.value)
+            return jets.compose(Jet2(
+                ((c0 * h + c1) * h + c2) * h + c3,
+                (3.0 * c0 * h + 2.0 * c1) * h + c2,
+                6.0 * c0 * h + 2.0 * c1,
+                6.0 * c0,
+            ), x)
+        h, (c0, c1, c2, c3) = piece(x)
+        return ((c0 * h + c1) * h + c2) * h + c3
+
+    return fn
+
+
 class InvariantTriple:
     """Complete invariant system (k, delta, sigma) of a skew ruled surface.
 
@@ -384,7 +539,9 @@ class InvariantTriple:
 
     @classmethod
     def from_samples(cls, u, k, delta, sigma):
-        """Cubic-spline profiles through sampled arrays (finite, equal length >= 4)."""
+        """Not-a-knot cubic-spline profiles through sampled arrays: finite,
+        of equal length from 4 to `MAX_SAMPLES`, u strictly increasing.
+        Beyond the end samples the end cubics extrapolate."""
         arrays = {"u": u, "k": k, "delta": delta, "sigma": sigma}
         for name, values in arrays.items():
             try:
@@ -397,26 +554,12 @@ class InvariantTriple:
         u = arrays.pop("u")
         if any(len(a) != len(u) for a in arrays.values()) or len(u) < 4:
             raise SpecFormatError("u, k, delta, sigma must have equal length >= 4")
-        if not np.all(np.diff(u) > 0):
+        if len(u) > MAX_SAMPLES:
+            raise SpecFormatError(f"at most {MAX_SAMPLES} samples, got {len(u)}")
+        if not np.all(u[1:] > u[:-1]):
             raise SpecFormatError("u samples must be strictly increasing")
-
-        def spline_profile(sp):
-            def fn(x, nu=0):
-                if isinstance(x, Jet2):
-                    return jets.compose(Jet2(*(fn(x.value, i) for i in range(4))), x)
-                # a float gives a float, so cot(sigma) divides by zero as math does
-                return sp(x, nu) if isinstance(x, np.ndarray) else float(sp(x, nu))
-
-            return fn
-
-        # the inputs are checked above, so what CubicSpline still rejects is
-        # a spacing of u too small for its slopes or its linear system
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                splines = tuple(CubicSpline(u, values) for values in arrays.values())
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise SpecFormatError(f"no cubic spline through the samples: {exc}") from None
-        k_fn, d_fn, sig_fn = map(spline_profile, splines)
+        coef = _not_a_knot_coefficients(u, np.array(list(arrays.values())))
+        k_fn, d_fn, sig_fn = (_piecewise_cubic(u, c) for c in coef)
         lam_fn = lambda x: _cot(sig_fn(x))
         return cls(k_fn, d_fn, lam_fn, sig_fn, (u[0], u[-1]))
 
@@ -828,9 +971,8 @@ def standardize(base, director, grid=1024, tol_torsal=1e-8, tol_director=1e-12,
     striction_curve = CurveR3(striction_raw, (0.0, t_total), "striction")
 
     # orientation: <e, s'> >= 0 makes sign(lambda) = sign(delta)
-    ev, epv, spv = _first_order(
-        striction_curve, director_curve, np.linspace(0.0, t_total, 9)[1:-1]
-    )
+    ts = np.linspace(0.0, t_total, 9)[1:-1]
+    ev, epv, spv = _first_order(director_curve.eval(ts), striction_curve.eval(ts))
     a_vals = jets.dot(ev, spv)
     if np.min(np.abs(jets.triple(ev, epv, spv))) < tol_skew:
         raise NonSkew("parameter of distribution vanishes after standardization")

@@ -381,6 +381,55 @@ def test_delta_zero_at_a_traced_point_exits_one(tmp_path, capsys):
     assert err == f"error: parameter of distribution vanishes at u = {a!r}\n"
 
 
+# delta = (u - a)^2 touches 0 at u = a, between two of the construction
+# gate's 33 samples, without changing sign
+TOUCH_AT = 1.0 + math.pi / 32.0
+TOUCH_SPEC = {"type": "expression", "cx": "0", "cy": "0", "cz": "(u-(1+pi/32))^3/3",
+              "dx": "cos(u)", "dy": "sin(u)", "dz": "0", "domain": [0.0, 2.0 * math.pi]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify"],
+    ["invariants", "--grid", "5"],
+    ["fit", "--family", "s1"],
+    ["trace", "--family", "s3", "--u0", "0.5", "--v0", "0.5", "--steps", "3"],
+], ids=["classify", "invariants", "fit", "trace"])
+def test_delta_touching_zero_between_gate_samples_exits_one(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path, TOUCH_SPEC)
+    assert run([argv[0], "--spec", spec, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: parameter of distribution vanishes at u = {TOUCH_AT!r}\n"
+
+
+def test_cli_loads_no_scipy(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import ruledgeo
+
+    spec = write_spec(tmp_path, {"type": "invariants", "u": [0.0, 1.0, 2.0, 3.0, 4.0],
+                                 "k": [1.0] * 5, "delta": [1.0, 1.2, 1.1, 0.9, 1.0],
+                                 "sigma": [0.5] * 5})
+    script = (
+        "import sys\n"
+        "import ruledgeo, ruledgeo.cli\n"
+        "from ruledgeo.surface import InvariantTriple, surface_from_invariants\n"
+        "inv = InvariantTriple.from_samples([0, 1, 2, 3], [1] * 4, [1] * 4, [0.5] * 4)\n"
+        "surface_from_invariants(inv)\n"
+        "assert ruledgeo.cli.run(['invariants', '--spec', sys.argv[1], '--grid', '5',\n"
+        "                         '--out', sys.argv[2]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(ruledgeo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script, spec, str(tmp_path / "inv.csv")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("domain", [[0.0, 1e-300], [0.0, 1e300]], ids=["tiny", "huge"])
 def test_extreme_domain_under_standardize_exits_one(tmp_path, capsys, domain):
     spec = write_spec(tmp_path, {"type": "expression", "cx": "0", "cy": "0", "cz": "u",

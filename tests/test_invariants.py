@@ -379,7 +379,8 @@ def test_point_invariants_equal_the_jet_expressions(name, fracs):
 
 def test_point_invariants_raise_non_skew_where_delta_vanishes():
     # s' = (0, 0, (u - a)^2) and e = (cos u, sin u, 0): delta = (u - a)^2
-    # touches 0 at u = a without changing sign
+    # touches 0 at u = a without changing sign. Construction rejects this
+    # surface, so it is built unchecked to reach the point evaluation.
     from ruledgeo.errors import NonSkew
     from ruledgeo.invariants import point_invariants
     from ruledgeo.surface import CurveR3, StandardRuledSurface
@@ -390,6 +391,7 @@ def test_point_invariants_raise_non_skew_where_delta_vanishes():
         CurveR3.from_expressions("0", "0", "(u-(1+pi/32))^3/3", dom),
         CurveR3.from_expressions("cos(u)", "sin(u)", "0", dom),
         dom,
+        check=False,
     )
     assert point_invariants(surf, 0.5).delta > 0.0
     with pytest.raises(NonSkew, match=f"at u = {a!r}$"):

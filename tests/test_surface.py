@@ -1,6 +1,7 @@
 """Gauge conservation, standardization, gallery, and invariant reconstruction."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from ruledgeo.errors import (
     TorsalRuling,
     UnknownGalleryName,
 )
-from ruledgeo.invariants import extract_invariants
+from ruledgeo.invariants import extract_invariants, point_invariants
+from ruledgeo.jets import Jet2
 from ruledgeo.surface import (
     DEFAULT_DOMAIN,
     CurveR3,
@@ -681,6 +683,33 @@ def test_frame0_and_s0_are_honored():
     assert abs(k - 0.2) < 1e-8 and abs(delta - 1.0) < 1e-8
 
 
+def _counted(curve, calls):
+    """`curve` with the number of points of each evaluation kept in `calls`."""
+
+    def raw(u):
+        calls.append(np.size(u))
+        return curve.raw_eval(u)
+
+    return CurveR3(raw, curve.domain)
+
+
+def test_skew_gate_refines_only_where_delta_dips(gallery_five):
+    dom = (0.0, 2.0 * math.pi)
+    a = 1.0 + math.pi / 32.0
+    # delta = 1e-3 + (u - a)^2 dips between two gate samples but stays skew
+    calls = []
+    striction = CurveR3.from_expressions("0", "0", "1e-3*u + (u-(1+pi/32))^3/3", dom)
+    director = CurveR3.from_expressions("cos(u)", "sin(u)", "0", dom)
+    surf = StandardRuledSurface(_counted(striction, calls), director, dom)
+    assert abs(point_invariants(surf, a).delta - 1e-3) < 1e-15
+    assert calls[0] == 33 and len(calls) > 1
+    # delta' is round-off or small on the gallery: one grid call per curve
+    for name, surf in gallery_five.items():
+        calls = []
+        StandardRuledSurface(_counted(surf.striction, calls), surf.director, surf.domain)
+        assert calls == [33], name
+
+
 def test_invalid_frame0_rejected():
     inv = InvariantTriple.from_functions(k=0.2, delta=1.0, lam=0.5,
                                          domain=(0.0, 1.0))
@@ -896,23 +925,100 @@ def test_profile_grid_equals_the_point_loop(name):
 
 
 def test_spline_profile_grid_matches_the_spline_formulas():
-    from scipy.interpolate import CubicSpline
-
     us = np.linspace(0.0, 2.0 * math.pi, 40)
     samples = (0.8 + 0.3 * np.sin(us), 1.0 + 0.2 * np.cos(us),
                np.arctan(1.0 / (0.7 + 0.2 * np.sin(2.0 * us))))
     inv = InvariantTriple.from_samples(us, *samples)
-    k, d, sig = (CubicSpline(us, y) for y in samples)
     g = inv.grid(0.0, 2.0 * math.pi, 512)
     um = g.u[:-1] + 0.5 * (g.u[1] - g.u[0])
-    s, sm = sig(g.u), sig(um)
-    exact = {"k": k(g.u), "dk": k(g.u, 1), "delta": d(g.u), "ddelta": d(g.u, 1),
-             "lam": np.cos(s) / np.sin(s), "k_mid": k(um), "delta_mid": d(um),
+
+    # the spline's own point evaluation, one float u at a time
+    def at(fn, points):
+        return np.array([fn(u) for u in points.tolist()])
+
+    def slope(profile):
+        return lambda u: profile(Jet2.variable(u)).d1
+
+    s, sm = at(inv.sigma, g.u), at(inv.sigma, um)
+    exact = {"k": at(inv.k, g.u), "dk": at(slope(inv._k), g.u), "delta": at(inv.delta, g.u),
+             "ddelta": at(slope(inv._delta), g.u), "lam": np.cos(s) / np.sin(s),
+             "k_mid": at(inv.k, um), "delta_mid": at(inv.delta, um),
              "lam_mid": np.cos(sm) / np.sin(sm)}
     for field, want in exact.items():
         assert np.array_equal(getattr(g, field), want), field
     # the jet quotient rule, against -sigma' / sin^2 sigma
-    _assert_close(g.dlam, -sig(g.u, 1) / (np.sin(s) * np.sin(s)))
+    _assert_close(g.dlam, -at(slope(inv._sigma), g.u) / (np.sin(s) * np.sin(s)))
+
+
+def _random_knots(rng, n, min_gap):
+    """n increasing knots whose gaps vary from min_gap to 1."""
+    gaps = min_gap ** rng.uniform(0.0, 1.0, n - 1)
+    return rng.uniform(-3.0, 3.0) + np.concatenate([[0.0], np.cumsum(gaps)])
+
+
+def test_spline_matches_scipy_cubic_spline():
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(RNG_SEED)
+    for _ in range(200):
+        n = int(rng.integers(4, 201))
+        x = _random_knots(rng, n, 0.02)
+        ys = np.array([np.sin(a * x + b) for a, b in rng.uniform(0.2, 2.0, (3, 2))])
+        # beyond the ends by up to two end intervals
+        points = np.concatenate([rng.uniform(x[0], x[-1], 50), x,
+                                 x[0] - rng.uniform(0.0, 2.0 * (x[1] - x[0]), 5),
+                                 x[-1] + rng.uniform(0.0, 2.0 * (x[-1] - x[-2]), 5)])
+        for coef, y in zip(surface._not_a_knot_coefficients(x, ys), ys):
+            fn, want = surface._piecewise_cubic(x, coef), CubicSpline(x, y)
+            grid = fn(Jet2.variable(points))
+            floats = [fn(Jet2.variable(u)) for u in points.tolist()]
+            values = [fn(u) for u in points.tolist()]
+            assert all(type(v) is float for v in values)
+            for nu, slot in enumerate(("value", "d1", "d2", "d3")):
+                # the data's scale for the nu-th derivative: a change of y
+                # by one part in 1e12 moves it by about this much
+                ref = want(points, nu)
+                bound = 1e-12 * np.max(np.abs(y)) / np.min(np.diff(x)) ** nu
+                assert np.max(np.abs(getattr(grid, slot) - ref)) <= bound, (n, nu)
+                got = [getattr(jet, slot) for jet in floats]
+                assert np.max(np.abs(np.array(got) - ref)) <= bound, (n, nu)
+            assert np.max(np.abs(np.array(values) - want(points))) <= 1e-12 * np.max(np.abs(y))
+
+
+def _exact_not_a_knot_slopes(x, y):
+    """Knot slopes of the not-a-knot spline in rational arithmetic."""
+    x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    n = len(x)
+    dx = [b - a for a, b in zip(x, x[1:])]
+    m = [(b - a) / h for a, b, h in zip(y, y[1:], dx)]
+    w0, w1 = x[2] - x[0], x[-1] - x[-3]
+    diag = [dx[1]] + [2 * (dx[i - 1] + dx[i]) for i in range(1, n - 1)] + [dx[-2]]
+    upper = [w0] + dx[:-1]
+    lower = dx[1:] + [w1]
+    rhs = ([((dx[0] + 2 * w0) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / w0]
+           + [3 * (dx[i] * m[i - 1] + dx[i - 1] * m[i]) for i in range(1, n - 1)]
+           + [(dx[-1] ** 2 * m[-2] + (2 * w1 + dx[-1]) * dx[-2] * m[-1]) / w1])
+    for i in range(1, n):
+        f = lower[i - 1] / diag[i - 1]
+        diag[i] -= f * upper[i - 1]
+        rhs[i] -= f * rhs[i - 1]
+    s = [rhs[-1] / diag[-1]]
+    for i in range(n - 2, -1, -1):
+        s.insert(0, (rhs[i] - upper[i] * s[0]) / diag[i])
+    return np.array([float(v) for v in s])
+
+
+def test_spline_slopes_match_rational_arithmetic_on_uneven_knots():
+    # gaps down to 1e-4 of the largest: the sweep without pivoting stays
+    # close to the exact slopes. scipy's pivoting solve is no closer on
+    # such knots, which is why the comparison with it keeps gaps >= 0.02.
+    rng = np.random.default_rng(RNG_SEED)
+    for _ in range(60):
+        x = _random_knots(rng, int(rng.integers(4, 25)), 1e-4)
+        ys = np.array([np.sin(a * x + b) for a, b in rng.uniform(0.2, 2.0, (3, 2))])
+        for coef, y in zip(surface._not_a_knot_coefficients(x, ys), ys):
+            want = _exact_not_a_knot_slopes(x, y)
+            assert np.max(np.abs(coef[:, 2] - want[:-1])) <= 1e-11 * np.max(np.abs(want))
 
 
 def _loop_validate(inv, n=64):
@@ -1038,6 +1144,8 @@ def _samples(**changes):
     return spec
 
 
+_TOO_MANY = surface.MAX_SAMPLES + 1
+
 HELICOID_COMPONENTS = {"type": "expression", "cx": "0", "cy": "0", "cz": "u",
                        "dx": "cos(u)", "dy": "sin(u)", "dz": "0"}
 
@@ -1048,12 +1156,17 @@ HELICOID_COMPONENTS = {"type": "expression", "cx": "0", "cy": "0", "cz": "u",
     _samples(u=5.0),
     _samples(k=[0.0, math.nan, 0.0, 0.0]),
     _samples(u=[0.0, 1.0, 2.0, math.inf]),
-    _samples(u=[-1.0, 0.0, 1e-300, 1.0]),  # CubicSpline's system is singular
-    _samples(u=[-1.0, 0.0, 2e-232, 1.0], sigma=[0.5, 0.5, 1.0, 0.5]),  # slopes overflow
+    _samples(u=[-1.0, 0.0, 1e-300, 1.0]),  # the spline's slope system is singular
+    _samples(u=[-1.0, 0.0, 2e-232, 1.0], sigma=[0.5, 0.5, 1.0, 0.5]),  # singular too
+    _samples(u=[0.0, 1e-200, 2e-200, 3e-200], sigma=[0.5, 1.0, 0.5, 1.0]),  # cubics overflow
+    _samples(u=[-1e308, 1e308, 1.2e308, 1.5e308]),  # u spacing overflows
+    _samples(u=list(range(_TOO_MANY)), k=[0.0] * _TOO_MANY, delta=[1.0] * _TOO_MANY,
+             sigma=[0.5] * _TOO_MANY),
     dict(HELICOID_COMPONENTS, domain=[-math.inf, 0.0]),
     dict(HELICOID_COMPONENTS, domain=[0.0, math.inf]),
     dict(HELICOID_COMPONENTS, domain=[math.nan, 1.0]),
 ], ids=["string", "nested", "scalar_u", "nan_k", "inf_u", "close_u", "steep_sigma",
+        "tiny_spacing", "huge_spacing", "too_many",
         "domain_minus_inf", "domain_inf", "domain_nan"])
 def test_load_spec_rejects_malformed_samples_and_domains(spec):
     from ruledgeo.errors import SpecFormatError
