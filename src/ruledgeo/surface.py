@@ -44,6 +44,9 @@ TOL_UNIT_E = 1e-8
 TOL_UNIT_EP = 1e-7
 TOL_ORTH = 1e-7
 TOL_SKEW = 1e-8
+TOL_DIRECTOR = 1e-12  # standardize: the least |d(u)| of a director
+TOL_TORSAL = 1e-8  # standardize: the least spherical speed |e'(u)|
+N_CHECK = 33  # sample points of the gauge and skewness gates
 
 # the most samples an invariant profile may have: the spline's slope system
 # is solved by a Python sweep over them (about 0.6 s at this size)
@@ -146,7 +149,8 @@ class CurveR3:
     def _check_domain(self, u):
         lo, hi = self.domain
         slack = 1e-9 * (1.0 + hi - lo)
-        i = jets.first_true((u < lo - slack) | (u > hi + slack))
+        inside = (u >= lo - slack) & (u <= hi + slack)  # false for a NaN u
+        i = jets.first_true(~inside if isinstance(inside, np.ndarray) else not inside)
         if i is not None:
             raise OutOfDomain(f"u = {np.asarray(u)[i]} outside [{lo}, {hi}]")
 
@@ -331,14 +335,14 @@ class StandardRuledSurface:
     kept in a one-entry memo that no result depends on.
     """
 
-    def __init__(self, striction, director, domain=None, label="", check=True, n_check=33):
+    def __init__(self, striction, director, domain=None, label="", check=True):
         self.striction = striction
         self.director = director
         self._jets = _LastCall(lambda u: (striction.eval(u), director.eval(u)))
         self.domain = tuple(float(x) for x in (domain or director.domain))
         self.label = label
         if check:
-            us = np.linspace(self.domain[0], self.domain[1], n_check)
+            us = np.linspace(self.domain[0], self.domain[1], N_CHECK)
             e, s = director.eval(us), striction.eval(us)
             worst, deltas = _residuals(e, s)
             problems = []
@@ -422,10 +426,49 @@ def _cot(s):
     return jets.cos(s) / jets.sin(s)
 
 
+class _PiecewiseQuintic:
+    """Piecewise quintic with `coef` of shape (pieces, components, 6): on
+    [knots[i], knots[i+1]) component c is sum_j coef[i, c, j] x^j with
+    x = u - knots[i], and the end pieces extend beyond the ends. A float u
+    runs on Python floats, a 1-d array of u on numpy."""
+
+    def __init__(self, knots, coef):
+        self.knots, self.coef = knots, coef
+        self._knot_list, self._last = knots.tolist(), len(coef) - 1
+
+    def _piece(self, u):
+        """x = u - knots[i] and the rows (component, power) of u's piece i."""
+        if isinstance(u, np.ndarray):
+            i = np.clip(np.searchsorted(self.knots, u, side="right") - 1, 0, self._last)
+            return u - self.knots[i], self.coef[i].transpose(1, 2, 0)
+        i = min(max(bisect.bisect_right(self._knot_list, u) - 1, 0), self._last)
+        return u - self._knot_list[i], self.coef[i].tolist()
+
+    def value(self, u):
+        """The first component at u."""
+        x, rows = self._piece(u)
+        c0, c1, c2, c3, c4, c5 = rows[0]
+        return ((((c5 * x + c4) * x + c3) * x + c2) * x + c1) * x + c0
+
+    def jets(self, u):
+        """One `Jet2` per component at u: the value and three derivatives."""
+        x, rows = self._piece(u)
+        return tuple(
+            Jet2(
+                ((((c5 * x + c4) * x + c3) * x + c2) * x + c1) * x + c0,
+                (((5.0 * c5 * x + 4.0 * c4) * x + 3.0 * c3) * x + 2.0 * c2) * x + c1,
+                ((20.0 * c5 * x + 12.0 * c4) * x + 6.0 * c3) * x + 2.0 * c2,
+                (60.0 * c5 * x + 24.0 * c4) * x + 6.0 * c3,
+            )
+            for c0, c1, c2, c3, c4, c5 in rows
+        )
+
+
 def _not_a_knot_coefficients(x, ys):
     """Coefficients of the not-a-knot cubic splines through (x, y) for each
-    row y of `ys`, shape (rows, n - 1, 4): on [x_i, x_i+1] a spline is
-    ((c0 h + c1) h + c2) h + c3 with h the distance from x_i.
+    row y of `ys`, shape (rows, n - 1, 6): on [x_i, x_i+1] a spline is
+    sum_j c_j h^j with h the distance from x_i, c4 = c5 = 0 (the layout of
+    `_PiecewiseQuintic`).
 
     The knot slopes solve the tridiagonal system of scipy's `CubicSpline`,
     row for row, in one Thomas sweep for all rows of `ys`: its matrix
@@ -463,39 +506,23 @@ def _not_a_knot_coefficients(x, ys):
     s = np.array(rows).T
     with np.errstate(all="ignore"):
         t = (s[:, :-1] + s[:, 1:] - 2.0 * slope) / dx
-        coef = np.stack([t / dx, (slope - s[:, :-1]) / dx - t, s[:, :-1], ys[:, :-1]], axis=-1)
+        coef = np.stack([ys[:, :-1], s[:, :-1], (slope - s[:, :-1]) / dx - t, t / dx,
+                         *np.zeros((2, *t.shape))], axis=-1)
     if not np.isfinite(coef).all():
         raise SpecFormatError("no cubic spline through the samples: its coefficients overflow")
     return coef
 
 
-def _piecewise_cubic(knots, coef):
-    """Profile of the piecewise cubic with coefficient rows `coef` between
-    `knots`: x in [knots[i], knots[i+1]) uses row i and the end rows extend
-    beyond the ends. A float gives a float (so cot(sigma) divides by zero
-    as math does), an array an array, and a jet the jet of the cubic
-    composed with it, from one interval lookup."""
-    last = len(coef) - 1
-    knot_list, rows = knots.tolist(), coef.tolist()
-
-    def piece(x):
-        if isinstance(x, np.ndarray):
-            i = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, last)
-            return x - knots[i], coef[i].T
-        i = min(max(bisect.bisect_right(knot_list, x) - 1, 0), last)
-        return x - knot_list[i], rows[i]
+def _spline_profile(spline):
+    """Profile of a one-component `_PiecewiseQuintic`: a float gives a float
+    (so cot(sigma) divides by zero as math does), an array an array, and a
+    jet the spline's jet composed with it."""
 
     def fn(x):
         if isinstance(x, Jet2):
-            h, (c0, c1, c2, c3) = piece(x.value)
-            return jets.compose(Jet2(
-                ((c0 * h + c1) * h + c2) * h + c3,
-                (3.0 * c0 * h + 2.0 * c1) * h + c2,
-                6.0 * c0 * h + 2.0 * c1,
-                6.0 * c0,
-            ), x)
-        h, (c0, c1, c2, c3) = piece(x)
-        return ((c0 * h + c1) * h + c2) * h + c3
+            f = spline.jets(x.value)[0]
+            return x._compose(f.value, f.d1, f.d2, f.d3)
+        return spline.value(x)
 
     return fn
 
@@ -559,7 +586,7 @@ class InvariantTriple:
         if not np.all(u[1:] > u[:-1]):
             raise SpecFormatError("u samples must be strictly increasing")
         coef = _not_a_knot_coefficients(u, np.array(list(arrays.values())))
-        k_fn, d_fn, sig_fn = (_piecewise_cubic(u, c) for c in coef)
+        k_fn, d_fn, sig_fn = (_spline_profile(_PiecewiseQuintic(u, c[:, None])) for c in coef)
         lam_fn = lambda x: _cot(sig_fn(x))
         return cls(k_fn, d_fn, lam_fn, sig_fn, (u[0], u[-1]))
 
@@ -664,42 +691,6 @@ def _quintic_hermite(y, yp, ypp, h):
     return np.stack([y0, p0, 0.5 * q0, c3, c4, c5], axis=-1)
 
 
-class _DenseFrameSolution:
-    """Dense-output RK4 solution with two-point quintic Hermite evaluation.
-
-    Stores state, first and second derivative at uniform nodes; between
-    nodes each component is the quintic matching all six endpoint values.
-    """
-
-    def __init__(self, us, y, yp, ypp):
-        self.us = us
-        self.u0 = float(us[0])
-        self.h = float(us[1] - us[0])
-        self.n = len(us) - 1
-        # (interval, component, power) coefficient table
-        self.coef = _quintic_hermite(y, yp, ypp, self.h)
-
-    def eval_jets(self, u, col_lo, col_hi):
-        """Jets of the components col_lo:col_hi at u, a float or a 1-d array."""
-        if isinstance(u, np.ndarray):
-            i = np.clip(((u - self.u0) / self.h).astype(np.intp), 0, self.n - 1)
-            # (component, power, point): each power's coefficients as arrays
-            rows = self.coef[i, col_lo:col_hi].transpose(1, 2, 0)
-        else:
-            i = min(max(int((u - self.u0) / self.h), 0), self.n - 1)
-            rows = self.coef[i, col_lo:col_hi].tolist()
-        x = u - (self.u0 + i * self.h)
-        return tuple(
-            Jet2(
-                ((((c5 * x + c4) * x + c3) * x + c2) * x + c1) * x + c0,
-                (((5.0 * c5 * x + 4.0 * c4) * x + 3.0 * c3) * x + 2.0 * c2) * x + c1,
-                ((20.0 * c5 * x + 12.0 * c4) * x + 6.0 * c3) * x + 2.0 * c2,
-                (60.0 * c5 * x + 24.0 * c4) * x + 6.0 * c3,
-            )
-            for c0, c1, c2, c3, c4, c5 in rows
-        )
-
-
 def _generators(k, delta, lam, out):
     """Fill `out[i]` with the matrix A(u_i) of Y' = A Y, Y the 4x3 matrix
     with rows (e1, e2, e3, s): e1' = e2, e2' = -e1 + k e3, e3' = -k e2,
@@ -799,9 +790,9 @@ def surface_from_invariants(inv, frame0=None, s0=None, domain=None, n_steps=4096
         [-e1 + k * e3, (dp * lam + d * lamp) * e1 + (d * lam - d * k) * e2 + dp * e3],
         axis=1,
     )
-    sol = _DenseFrameSolution(g.u, dense, dense_p, dense_pp)
-    director = CurveR3(lambda uq: sol.eval_jets(uq, 0, 3), (lo, hi), "director")
-    striction = CurveR3(lambda uq: sol.eval_jets(uq, 3, 6), (lo, hi), "striction")
+    coef = _quintic_hermite(dense, dense_p, dense_pp, float(g.u[1] - g.u[0]))
+    director = CurveR3(_PiecewiseQuintic(g.u, coef[:, 0:3]).jets, (lo, hi), "director")
+    striction = CurveR3(_PiecewiseQuintic(g.u, coef[:, 3:6]).jets, (lo, hi), "striction")
     return StandardRuledSurface(striction, director, (lo, hi))
 
 
@@ -851,30 +842,20 @@ def _arclength_table(speed_jet, lo, hi, n):
 
 
 def _hermite_inverse(t_nodes, coef, lo, hi):
-    """u(t) from an arclength table: the segment's quintic by Horner's rule,
-    for a float t (Python floats throughout) or a 1-d array of them."""
-    n = len(coef)
+    """u(t) from an arclength table, for a float t or a 1-d array of them:
+    the segment quintics, with t clamped to [0, t_total] and u to [lo, hi]."""
     t_total = float(t_nodes[-1])
-    t_list, rows = t_nodes.tolist(), coef.tolist()
+    inverse = _PiecewiseQuintic(t_nodes, coef[:, None])
 
     def invert(t):
         if isinstance(t, np.ndarray):
-            t = np.clip(t, 0.0, t_total)
-            i = np.clip(np.searchsorted(t_nodes, t, side="right") - 1, 0, n - 1)
-            x = t - t_nodes[i]
-            c0, c1, c2, c3, c4, c5 = coef[i].T
-            return np.clip(((((c5 * x + c4) * x + c3) * x + c2) * x + c1) * x + c0, lo, hi)
-        t = min(max(t, 0.0), t_total)
-        i = min(max(bisect.bisect_right(t_list, t) - 1, 0), n - 1)
-        c0, c1, c2, c3, c4, c5 = rows[i]
-        x = t - t_list[i]
-        return min(max(((((c5 * x + c4) * x + c3) * x + c2) * x + c1) * x + c0, lo), hi)
+            return np.clip(inverse.value(np.clip(t, 0.0, t_total)), lo, hi)
+        return min(max(inverse.value(min(max(t, 0.0), t_total)), lo), hi)
 
     return invert
 
 
-def standardize(base, director, grid=1024, tol_torsal=1e-8, tol_director=1e-12,
-                tol_skew=TOL_SKEW):
+def standardize(base, director, grid=1024):
     """Bring a general ruled surface c(u) + v d(u) into standard form.
 
     The director is normalized and reparametrized by its spherical
@@ -899,7 +880,7 @@ def standardize(base, director, grid=1024, tol_torsal=1e-8, tol_director=1e-12,
     def ebar_jets(u):
         d = director.eval(u)
         n2 = jets.dot(d, d)
-        i = jets.first_true(n2.value < tol_director**2)
+        i = jets.first_true(n2.value < TOL_DIRECTOR**2)
         if i is not None:
             raise DegenerateDirector(f"|d(u)| ~ 0 at u = {np.asarray(u)[i]}")
         return jets.scale(d, 1.0 / n2.sqrt())
@@ -908,7 +889,7 @@ def standardize(base, director, grid=1024, tol_torsal=1e-8, tol_director=1e-12,
         """Spherical speed jet at u from the normalized director jets there."""
         ebp = jets.deriv3(eb)
         n2 = jets.dot(ebp, ebp)
-        i = jets.first_true(n2.value < tol_torsal * tol_torsal)
+        i = jets.first_true(n2.value < TOL_TORSAL * TOL_TORSAL)
         if i is not None:
             raise TorsalRuling(
                 f"|e'(u)| ~ {math.sqrt(max(np.asarray(n2.value)[i], 0.0)):.3e} "
@@ -955,7 +936,7 @@ def standardize(base, director, grid=1024, tol_torsal=1e-8, tol_director=1e-12,
 
     def director_raw(t):
         uj, eb = frame(t)
-        return tuple(jets.compose(c, uj) for c in eb)
+        return tuple(uj._compose(c.value, c.d1, c.d2, c.d3) for c in eb)
 
     def striction_raw(t):
         uj, eb = frame(t)
@@ -964,7 +945,7 @@ def standardize(base, director, grid=1024, tol_torsal=1e-8, tol_director=1e-12,
         ebp = jets.deriv3(eb)
         m = jets.dot(cp, ebp) / jets.dot(ebp, ebp)
         s_u = jets.sub3(c, jets.scale(eb, m))
-        out = tuple(jets.compose(comp, uj) for comp in s_u)
+        out = tuple(uj._compose(comp.value, comp.d1, comp.d2, comp.d3) for comp in s_u)
         return tuple(Jet2(c.value, c.d1, c.d2, 0.0) for c in out)
 
     director_curve = CurveR3(director_raw, (0.0, t_total), "director")
@@ -974,7 +955,7 @@ def standardize(base, director, grid=1024, tol_torsal=1e-8, tol_director=1e-12,
     ts = np.linspace(0.0, t_total, 9)[1:-1]
     ev, epv, spv = _first_order(director_curve.eval(ts), striction_curve.eval(ts))
     a_vals = jets.dot(ev, spv)
-    if np.min(np.abs(jets.triple(ev, epv, spv))) < tol_skew:
+    if np.min(np.abs(jets.triple(ev, epv, spv))) < TOL_SKEW:
         raise NonSkew("parameter of distribution vanishes after standardization")
     if np.max(np.abs(a_vals)) > 1e-9 and sum(a_vals.tolist()) < 0.0:
         director_curve = director_curve.negated()

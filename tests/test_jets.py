@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruledgeo import _jet_py
-from ruledgeo._jet_py import Jet2
+from ruledgeo import jets
+from ruledgeo.jets import Jet2
 
 # The kernel under test; the "python" id keeps the test names stable.
-KERNELS = [pytest.param(_jet_py, id="python")]
+KERNELS = [pytest.param(jets, id="python")]
 
 
 @pytest.fixture(params=KERNELS)

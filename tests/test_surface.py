@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ruledgeo import jets, surface
+from ruledgeo.analysis import fit_power_law
 from ruledgeo.errors import (
     CurveDomainError,
     CurveOverflow,
@@ -20,6 +21,7 @@ from ruledgeo.errors import (
     TorsalRuling,
     UnknownGalleryName,
 )
+from ruledgeo.families import CurveFamily
 from ruledgeo.invariants import extract_invariants, point_invariants
 from ruledgeo.jets import Jet2
 from ruledgeo.surface import (
@@ -64,6 +66,39 @@ def test_out_of_domain(right_helicoid):
         right_helicoid.jets(-1.0)
     with pytest.raises(OutOfDomain):
         extract_invariants(right_helicoid, 100.0)
+
+
+def _sampled_surface():
+    u = np.linspace(0.0, 2.0 * math.pi, 33)
+    profiles = {"k": 1.0 + 0.2 * np.sin(u), "delta": 1.0 + 0.1 * np.cos(u),
+                "sigma": 0.9 + 0.1 * np.sin(u)}
+    return load_spec({"type": "invariants", "u": u.tolist(),
+                      **{name: p.tolist() for name, p in profiles.items()}})
+
+
+NAN_SURFACES = {
+    "gallery": lambda: gallery("right_helicoid"),
+    "expression": lambda: StandardRuledSurface(
+        CurveR3.from_expressions("0", "0", "u", DEFAULT_DOMAIN),
+        CurveR3.from_expressions("cos(u)", "sin(u)", "0", DEFAULT_DOMAIN)),
+    "standardized": lambda: standardize(
+        *(CurveR3.from_expressions(*comps, DEFAULT_DOMAIN) for comps in GENERAL_PAIRS[1])),
+    "from_invariants": lambda: gallery("generic_skew"),
+    "sampled": _sampled_surface,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NAN_SURFACES))
+def test_nan_u_is_out_of_domain(kind):
+    # a NaN fails every comparison, so the domain check must be an inside
+    # test negated, not an outside test
+    surf = NAN_SURFACES[kind]()
+    with pytest.raises(OutOfDomain, match="u = nan"):
+        extract_invariants(surf, math.nan)
+    with pytest.raises(OutOfDomain, match="u = nan"):
+        point_invariants(surf, np.array([0.5, math.nan, 1.0]))
+    with pytest.raises(OutOfDomain, match="u = nan"):
+        fit_power_law(surf, CurveFamily("lc1"), u_grid=[0.5, math.nan, 1.0])
 
 
 # gallery -----------------------------------------------------------------
@@ -969,7 +1004,8 @@ def test_spline_matches_scipy_cubic_spline():
                                  x[0] - rng.uniform(0.0, 2.0 * (x[1] - x[0]), 5),
                                  x[-1] + rng.uniform(0.0, 2.0 * (x[-1] - x[-2]), 5)])
         for coef, y in zip(surface._not_a_knot_coefficients(x, ys), ys):
-            fn, want = surface._piecewise_cubic(x, coef), CubicSpline(x, y)
+            fn = surface._spline_profile(surface._PiecewiseQuintic(x, coef[:, None]))
+            want = CubicSpline(x, y)
             grid = fn(Jet2.variable(points))
             floats = [fn(Jet2.variable(u)) for u in points.tolist()]
             values = [fn(u) for u in points.tolist()]
@@ -1018,7 +1054,69 @@ def test_spline_slopes_match_rational_arithmetic_on_uneven_knots():
         ys = np.array([np.sin(a * x + b) for a, b in rng.uniform(0.2, 2.0, (3, 2))])
         for coef, y in zip(surface._not_a_knot_coefficients(x, ys), ys):
             want = _exact_not_a_knot_slopes(x, y)
-            assert np.max(np.abs(coef[:, 2] - want[:-1])) <= 1e-11 * np.max(np.abs(want))
+            assert np.max(np.abs(coef[:, 1] - want[:-1])) <= 1e-11 * np.max(np.abs(want))
+
+
+# float and array evaluation of the piecewise quintics, bit for bit ----------
+
+
+def _probe_points(knots, rng):
+    """Every knot and the floats either side of it, random interior points,
+    and points beyond both ends."""
+    lo, hi = knots[0], knots[-1]
+    beyond = (hi - lo) * rng.uniform(0.0, 0.1, 5)
+    return np.concatenate([knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+                           rng.uniform(lo, hi, 200), lo - beyond, hi + beyond])
+
+
+def _assert_same_bits(grid_values, point_values):
+    """The array result equals the float results bit for bit (signed zeros too)."""
+    want = np.array(point_values, dtype=float)
+    assert grid_values.shape == want.shape
+    assert np.array_equal(grid_values.view(np.int64), want.view(np.int64))
+
+
+def _assert_jets_same_bits(grid_jets, point_jets):
+    for i, g in enumerate(grid_jets):
+        for slot in ("value", "d1", "d2", "d3"):
+            _assert_same_bits(getattr(g, slot), [getattr(p[i], slot) for p in point_jets])
+
+
+def test_spline_profile_floats_and_arrays_agree_bit_for_bit():
+    rng = np.random.default_rng(RNG_SEED)
+    u = _random_knots(rng, 40, 0.05)
+    inv = InvariantTriple.from_samples(u, 1.0 + 0.3 * np.sin(u), 1.0 + 0.2 * np.cos(u),
+                                       0.9 + 0.1 * np.sin(2.0 * u))
+    points = _probe_points(u, rng)
+    for profile in (inv._k, inv._delta, inv._sigma):
+        _assert_same_bits(profile(points), [profile(x) for x in points.tolist()])
+        _assert_jets_same_bits([profile(Jet2.variable(points))],
+                               [[profile(Jet2.variable(x))] for x in points.tolist()])
+
+
+def test_frame_dense_output_floats_and_arrays_agree_bit_for_bit():
+    surf = gallery("generic_skew", seed=3)
+    rng = np.random.default_rng(RNG_SEED)
+    for curve in (surf.director, surf.striction):
+        # the raw evaluation, so that points beyond the ends are kept
+        points = _probe_points(curve.raw_eval.__self__.knots, rng)
+        _assert_jets_same_bits(curve.raw_eval(points),
+                               [curve.raw_eval(x) for x in points.tolist()])
+
+
+def test_arclength_inverse_floats_and_arrays_agree_bit_for_bit(monkeypatch):
+    tables, real = [], surface._hermite_inverse
+
+    def spy(t_nodes, coef, lo, hi):
+        tables.append((t_nodes, real(t_nodes, coef, lo, hi)))
+        return tables[-1][1]
+
+    monkeypatch.setattr(surface, "_hermite_inverse", spy)
+    standardize(*(CurveR3.from_expressions(*comps, DEFAULT_DOMAIN) for comps in GENERAL_PAIRS[2]))
+    monkeypatch.undo()
+    t_nodes, invert = tables[-1]  # the table the surface keeps
+    points = _probe_points(t_nodes, np.random.default_rng(RNG_SEED))
+    _assert_same_bits(invert(points), [invert(t) for t in points.tolist()])
 
 
 def _loop_validate(inv, n=64):
