@@ -20,6 +20,15 @@ and derivative-carrying jets for `Jet2` input, one point per slot or a
 whole grid when the slots are arrays. Sharing changes no floating-point
 operation, only how often one is repeated, and the first error raised is
 the one a left-to-right walk of the trees would raise.
+
+For a float u, `straight_line` writes a program out as generated Python
+code that gives the roots' jets: one local per (register, slot), with the
+slot formulas of the `Jet2` rules in their order of operations, so its
+results are bit-identical to `Program.run` at a jet seed and its errors
+the same. Instructions on constants only are folded first. Compiled code
+is cached by the folded structure, at most `TEMPLATES` structures, the
+least recently used dropped first; the constants are bound as closure
+arguments, so no text of an expression reaches the generated source.
 """
 
 import functools
@@ -155,12 +164,13 @@ class Program:
     registers of the roots, in order.
     """
 
-    __slots__ = ("consts", "code", "outputs")
+    __slots__ = ("consts", "code", "outputs", "_at_float")
 
     def __init__(self, consts, code, outputs):
         self.consts = consts
         self.code = code
         self.outputs = outputs
+        self._at_float = None
 
     def run(self, u):
         """Values of the roots at u: a float, a `Jet2` seed or an array."""
@@ -169,6 +179,14 @@ class Program:
         for fn, a, b in self.code:
             append(fn(regs[a]) if b < 0 else fn(regs[a], regs[b]))
         return [regs[i] for i in self.outputs]
+
+    def float_jets(self, u):
+        """The roots' jets at a float u, from generated straight-line code
+        (`straight_line`, built at the first call): bit for bit, and error
+        for error, `[jets.as_jet(r) for r in self.run(Jet2.variable(u))]`."""
+        if self._at_float is None:
+            self._at_float = straight_line(self)
+        return self._at_float(u)
 
 
 def _children(node):
@@ -243,6 +261,165 @@ def compile_program(roots):
     return Program(
         consts, [(fn, slot(a), slot(b)) for fn, a, b in code], [slot(r) for r in outputs]
     )
+
+
+# straight-line float code ------------------------------------------------------
+
+# compiled templates kept, the least recently used dropped first
+TEMPLATES = 64
+
+# instructions written out inline; the others call their function
+_INLINE = {
+    operator.add: "add",
+    operator.sub: "sub",
+    operator.mul: "mul",
+    operator.neg: "neg",
+    jets.sin: "sin",
+    jets.cos: "cos",
+}
+
+# slot formulas of the `Jet2` rules, in their order of operations, by op and
+# operand kinds: jets a and b ("j"), a float constant c ("k"). A bare name
+# passes the slot on unchanged.
+_RULES = {
+    ("add", "j", "j"): ("{a0} + {b0}", "{a1} + {b1}", "{a2} + {b2}", "{a3} + {b3}"),
+    ("add", "j", "k"): ("{a0} + {c}", "{a1}", "{a2}", "{a3}"),
+    ("add", "k", "j"): ("{b0} + {c}", "{b1}", "{b2}", "{b3}"),  # __radd__ is __add__
+    ("sub", "j", "j"): ("{a0} - {b0}", "{a1} - {b1}", "{a2} - {b2}", "{a3} - {b3}"),
+    ("sub", "j", "k"): ("{a0} - {c}", "{a1}", "{a2}", "{a3}"),
+    ("sub", "k", "j"): ("{c} - {b0}", "-{b1}", "-{b2}", "-{b3}"),
+    ("mul", "j", "j"): (
+        "{a0} * {b0}",
+        "{a1} * {b0} + {a0} * {b1}",
+        "{a2} * {b0} + 2.0 * {a1} * {b1} + {a0} * {b2}",
+        "{a3} * {b0} + 3.0 * {a2} * {b1} + 3.0 * {a1} * {b2} + {a0} * {b3}",
+    ),
+    ("mul", "j", "k"): ("{a0} * {c}", "{a1} * {c}", "{a2} * {c}", "{a3} * {c}"),
+    ("mul", "k", "j"): ("{b0} * {c}", "{b1} * {c}", "{b2} * {c}", "{b3} * {c}"),  # __rmul__
+    ("neg", "j"): ("-{a0}", "-{a1}", "-{a2}", "-{a3}"),
+    # `Jet2._compose` of (sin, cos, -sin, -cos) and of (cos, -sin, -cos, sin)
+    ("sin", "j"): (
+        "{s}",
+        "{c} * {a1}",
+        "-{s} * {a1} * {a1} + {c} * {a2}",
+        "-{c} * {a1} * {a1} * {a1} + 3.0 * -{s} * {a1} * {a2} + {c} * {a3}",
+    ),
+    ("cos", "j"): (
+        "{c}",
+        "-{s} * {a1}",
+        "-{c} * {a1} * {a1} + -{s} * {a2}",
+        "{s} * {a1} * {a1} * {a1} + 3.0 * -{c} * {a1} * {a2} + -{s} * {a3}",
+    ),
+}
+_PRELUDE = ("{s} = _sin({a0})", "{c} = _cos({a0})")  # of sin and cos, in `Jet2`'s order
+
+
+def straight_line(program):
+    """Function of a float u giving the jets of `program`'s roots at u.
+
+    It runs generated straight-line code that repeats, bit for bit and
+    error for error, `[jets.as_jet(r) for r in program.run(Jet2.variable(u))]`
+    (Taylor-mode propagation written out, as in Griewank and Walther,
+    ch. 13). Instructions on constants only are folded first; the code is
+    then a template for the folded structure, cached, with the constants
+    bound as closure arguments.
+    """
+    structure, bound = _fold(program)
+    return _template(structure)(*bound)
+
+
+def _fold(program):
+    """(structure, bound values) of `program` run at a jet seed.
+
+    An instruction whose operands are all constants is folded with its own
+    function. One that raises stays in place, so it raises there at run
+    time too, after the same earlier instructions. Each instruction left is
+    (op, operand, ...) and yields the next jet register; an operand is
+    ("j", n), jet register n (0 is u), or ("k", i), the i-th bound value.
+    Constants and the functions of called instructions are bound values,
+    so programs that differ only in them share a structure.
+    """
+    regs = [("j", 0), *(("c", c) for c in program.consts)]
+    ops, bound = [], []
+
+    def bind(value):
+        bound.append(value)
+        return ("k", len(bound) - 1)
+
+    def ref(r):
+        return r if r[0] == "j" else bind(r[1])
+
+    for fn, a, b in program.code:
+        args = [regs[a]] if b < 0 else [regs[a], regs[b]]
+        constant = all(r[0] == "c" for r in args)
+        if constant:
+            try:
+                regs.append(("c", fn(*(r[1] for r in args))))
+                continue
+            except (ArithmeticError, TypeError, ValueError):
+                pass  # left in place: the call raises again at run time
+        op = _INLINE.get(fn)
+        # the jet rules treat constants other than floats differently
+        if (op is None or constant
+                or any(r[0] == "c" and type(r[1]) is not float for r in args)):
+            ops.append(("call", bind(fn), *map(ref, args)))
+        else:
+            ops.append((op, *map(ref, args)))
+        regs.append(("j", len(ops)))
+    outputs = tuple(ref(regs[i]) for i in program.outputs)
+    return (tuple(ops), outputs, len(bound)), bound
+
+
+@functools.lru_cache(maxsize=TEMPLATES)
+def _template(structure):
+    """The compiled template of a folded structure: a function of the bound
+    values returning the function of u. Its source holds generated names
+    only, never text from an expression."""
+    namespace = {"Jet2": jets.Jet2, "_sin": math.sin, "_cos": math.cos}
+    exec(compile(_source(structure), "<straight-line code>", "exec"), namespace)
+    return namespace["template"]
+
+
+def _source(structure):
+    ops, outputs, n_bound = structure
+    slots = [("u", "1.0", "0.0", "0.0")]  # the names of each jet register's slots
+    body = []
+
+    def operand(r):
+        return f"Jet2({', '.join(slots[r[1]])})" if r[0] == "j" else f"k{r[1]}"
+
+    for n, (op, *args) in enumerate(ops, 1):
+        if op == "call":
+            fn, *args = args
+            body.append(f"t = k{fn[1]}({', '.join(map(operand, args))})")
+            body.append(f"j{n}_0, j{n}_1, j{n}_2, j{n}_3 = t.value, t.d1, t.d2, t.d3")
+            slots.append(tuple(f"j{n}_{i}" for i in range(4)))
+            continue
+        # the first operand is jet a, the second jet b, a constant is c
+        names = {"s": f"j{n}_s", "c": f"j{n}_c"}
+        for x, r in zip("ab", args):
+            if r[0] == "k":
+                names["c"] = f"k{r[1]}"
+            else:
+                names.update((f"{x}{i}", name) for i, name in enumerate(slots[r[1]]))
+        if op in ("sin", "cos"):
+            body.extend(line.format(**names) for line in _PRELUDE)
+        row = []
+        for i, rule in enumerate(_RULES[(op, *(r[0] for r in args))]):
+            if rule[1:-1].isidentifier():  # a bare name
+                row.append(rule.format(**names))
+            else:
+                body.append(f"j{n}_{i} = {rule.format(**names)}")
+                row.append(f"j{n}_{i}")
+        slots.append(tuple(row))
+    results = (operand(r) if r[0] == "j" else f"Jet2(k{r[1]}, 0.0, 0.0, 0.0)" for r in outputs)
+    return "\n".join([
+        f"def template({', '.join(f'k{i}' for i in range(n_bound))}):",
+        "    def run(u):",
+        *(f"        {line}" for line in body),
+        f"        return ({', '.join(results)},)",
+        "    return run",
+    ])
 
 
 class Expression:

@@ -137,10 +137,14 @@ class CurveR3:
     @classmethod
     def from_expressions(cls, sx, sy, sz, domain, name=""):
         """Build from three expression strings, run as one program, so a
-        subexpression the components share is computed once."""
+        subexpression the components share is computed once. A float u
+        runs the program's generated straight-line code, an array of u
+        the program itself."""
         program = compile_program([parse_expression(s).root for s in (sx, sy, sz)])
 
         def raw(u):
+            if not isinstance(u, np.ndarray):
+                return program.float_jets(u)
             x, y, z = program.run(Jet2.variable(u))
             return (jets.as_jet(x), jets.as_jet(y), jets.as_jet(z))
 
@@ -430,11 +434,13 @@ class _PiecewiseQuintic:
     """Piecewise quintic with `coef` of shape (pieces, components, 6): on
     [knots[i], knots[i+1]) component c is sum_j coef[i, c, j] x^j with
     x = u - knots[i], and the end pieces extend beyond the ends. A float u
-    runs on Python floats, a 1-d array of u on numpy."""
+    runs on Python floats, a 1-d array of u on numpy. Pieces on the same
+    knots may share one `knot_list`, the knots as Python floats."""
 
-    def __init__(self, knots, coef):
+    def __init__(self, knots, coef, knot_list=None):
         self.knots, self.coef = knots, coef
-        self._knot_list, self._last = knots.tolist(), len(coef) - 1
+        self._knot_list = knots.tolist() if knot_list is None else knot_list
+        self._last = len(coef) - 1
 
     def _piece(self, u):
         """x = u - knots[i] and the rows (component, power) of u's piece i."""
@@ -586,7 +592,10 @@ class InvariantTriple:
         if not np.all(u[1:] > u[:-1]):
             raise SpecFormatError("u samples must be strictly increasing")
         coef = _not_a_knot_coefficients(u, np.array(list(arrays.values())))
-        k_fn, d_fn, sig_fn = (_spline_profile(_PiecewiseQuintic(u, c[:, None])) for c in coef)
+        knot_list = u.tolist()
+        k_fn, d_fn, sig_fn = (
+            _spline_profile(_PiecewiseQuintic(u, c[:, None], knot_list)) for c in coef
+        )
         lam_fn = lambda x: _cot(sig_fn(x))
         return cls(k_fn, d_fn, lam_fn, sig_fn, (u[0], u[-1]))
 
@@ -791,8 +800,11 @@ def surface_from_invariants(inv, frame0=None, s0=None, domain=None, n_steps=4096
         axis=1,
     )
     coef = _quintic_hermite(dense, dense_p, dense_pp, float(g.u[1] - g.u[0]))
-    director = CurveR3(_PiecewiseQuintic(g.u, coef[:, 0:3]).jets, (lo, hi), "director")
-    striction = CurveR3(_PiecewiseQuintic(g.u, coef[:, 3:6]).jets, (lo, hi), "striction")
+    knot_list = g.u.tolist()  # one copy for both curves
+    e_jets = _PiecewiseQuintic(g.u, coef[:, 0:3], knot_list).jets
+    s_jets = _PiecewiseQuintic(g.u, coef[:, 3:6], knot_list).jets
+    director = CurveR3(e_jets, (lo, hi), "director")
+    striction = CurveR3(s_jets, (lo, hi), "striction")
     return StandardRuledSurface(striction, director, (lo, hi))
 
 

@@ -1,6 +1,7 @@
 """Expression grammar, jet evaluation, and positioned syntax errors."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -144,7 +145,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ruledgeo import parser  # noqa: E402
-from ruledgeo.jets import Jet2  # noqa: E402
+from ruledgeo.jets import Jet2, as_jet  # noqa: E402
 from ruledgeo.parser import compile_program  # noqa: E402
 
 
@@ -185,8 +186,10 @@ numbers = st.one_of(
     st.sampled_from(["0", "1", "2", "3", "0.5", "1e-3", "10", "pi"]),
     st.floats(min_value=0.0, max_value=50.0).map(repr),
 )
+# constant subexpressions that raise on floats, or give a complex number
+raising = st.sampled_from(["log(0)", "(1/0)", "sqrt(-1)", "(10^400)", "(-8)^(1/3)"])
 sources = st.recursive(
-    st.one_of(st.just("u"), numbers),
+    st.one_of(st.just("u"), numbers, raising),
     lambda sub: st.one_of(
         st.tuples(sub, st.sampled_from("+-*/^"), sub, st.booleans()).map(
             lambda t: f"({t[0]}){t[1]}({t[2]})" if t[3] else f"{t[0]} {t[1]} {t[2]}"),
@@ -211,6 +214,9 @@ def test_program_matches_tree_walk_bit_for_bit(srcs, u, grid):
         want = outcome(lambda: [tree_eval(r, seed) for r in roots])
         got = outcome(lambda: program.run(seed))
         assert got == want, (srcs, seed)
+    # the generated straight-line code at a float u
+    want = outcome(lambda: [as_jet(tree_eval(r, Jet2.variable(u))) for r in roots])
+    assert outcome(lambda: program.float_jets(u)) == want, (srcs, u)
     # a one-root program behind each Expression
     for s in srcs:
         expr = parse_expression(s)
@@ -268,3 +274,78 @@ def test_nesting_is_bounded_and_long_sums_compile():
     assert expr.eval(1.0) == 5000.0
     jet = expr.eval_jet(2.0)
     assert (jet.value, jet.d1, jet.d2) == (10000.0, 5000.0, 0.0)
+
+
+# generated straight-line code and its template cache ---------------------------
+
+
+def _program(*srcs):
+    return compile_program([parse_expression(s).root for s in srcs])
+
+
+def _float_bits(program, u):
+    return outcome(lambda: program.float_jets(u))
+
+
+def _run_bits(program, u):
+    """The oracle of the generated code: the program at a jet seed."""
+    return outcome(lambda: [as_jet(x) for x in program.run(Jet2.variable(u))])
+
+
+def test_generated_code_matches_the_program_at_many_points():
+    # products of two curved jets, where a slot formula written in another
+    # order would round differently; a complex constant, which only the
+    # called jet rules reject
+    products = ["sin(2*u)*cos(3*u)", "(u*u - 1)*sin(u)*cos(u/2)",
+                "-(sin(u) - u*u)*(1.5 - cos(u))", "cos(sin(u)*u)", "sin(0.3*u*u*u - u)",
+                "u + (-8)^(1/3)"]
+    for src in [s for s, _ in FIXTURES] + products:
+        program = _program(src)
+        for u in np.linspace(-3.0, 3.0, 61).tolist():
+            assert _float_bits(program, u) == _run_bits(program, u), (src, u)
+
+
+def test_constants_and_signs_share_one_template():
+    a = _program("2*cos(u)", "-2*sin(u) + 0.5", "3*u^2")
+    b = _program("-7.25*cos(u)", "4*sin(u) + pi", "-1e-3*u^2")
+    assert parser.straight_line(a).__code__ is parser.straight_line(b).__code__
+    for program in (a, b):
+        for u in (0.0, 0.4, -2.5):
+            assert _float_bits(program, u) == _run_bits(program, u)
+    # constants are bound as closure arguments, never written into the source
+    structure, bound = parser._fold(b)
+    assert -7.25 in bound and "7.25" not in parser._source(structure)
+
+
+def test_long_sum_compiles_to_straight_line_code():
+    from ruledgeo.surface import CurveR3
+
+    srcs = (" + ".join(f"{k}*u" for k in range(1, 5001)), "sin(u)", "1")
+    curve = CurveR3.from_expressions(*srcs, domain=(0.0, 1.0))
+    assert outcome(lambda: curve.eval(0.5)) == _run_bits(_program(*srcs), 0.5)
+    assert curve.eval(0.5)[0].value == 0.5 * 5000 * 5001 / 2
+
+
+def test_a_raising_constant_raises_in_its_place():
+    from ruledgeo.errors import CurveDomainError
+    from ruledgeo.surface import CurveR3
+
+    try:
+        math.log(-1.0)
+    except ValueError as exc:
+        log_error = str(exc)
+    curve = CurveR3.from_expressions("u", "log(-1) + u", "sqrt(u - 5)", (0.0, 1.0))
+    for u, first in ((0.5, "0.5"), (np.array([0.25, 0.5]), "0.25")):
+        with pytest.raises(CurveDomainError, match=f"^{re.escape(log_error)} at u = {first}$"):
+            curve.eval(u)
+    # an error of an earlier instruction still comes first
+    curve = CurveR3.from_expressions("sqrt(u - 5)", "log(-1) + u", "u", (0.0, 1.0))
+    with pytest.raises(CurveDomainError, match="^jet sqrt of a non-positive value at u = 0.5$"):
+        curve.eval(0.5)
+
+
+def test_template_cache_stays_at_its_bound():
+    for n in range(1, parser.TEMPLATES + 10):  # u*u*...*u: a new structure each
+        program = _program("*".join(["u"] * n))
+        assert _float_bits(program, 1.5) == _run_bits(program, 1.5)
+    assert parser._template.cache_info().currsize == parser.TEMPLATES

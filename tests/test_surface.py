@@ -1102,6 +1102,9 @@ def test_frame_dense_output_floats_and_arrays_agree_bit_for_bit():
         points = _probe_points(curve.raw_eval.__self__.knots, rng)
         _assert_jets_same_bits(curve.raw_eval(points),
                                [curve.raw_eval(x) for x in points.tolist()])
+    # one list of the nodes as Python floats serves both curves
+    pieces = [curve.raw_eval.__self__ for curve in (surf.director, surf.striction)]
+    assert pieces[0]._knot_list is pieces[1]._knot_list
 
 
 def test_arclength_inverse_floats_and_arrays_agree_bit_for_bit(monkeypatch):

@@ -21,7 +21,9 @@ and the exit code of every call; the temporary spec directory reads as
 `--compare` prints how many calls differ, then, for each verb and JSON key
 (list positions dropped), the worst float difference |a - b| / max(1, |a|)
 between the records, and every difference that is not one of floats:
-exit codes, stderr, strings, booleans, integers and output shape.
+exit codes, stderr, strings, booleans, integers and output shape. It exits
+0 when the records are identical and 1 when any call differs, or when they
+hold different call lists, so it can gate byte-identical outputs.
 """
 
 import argparse
@@ -147,7 +149,7 @@ def compare(path_a, path_b):
         print(f"{verb:10s} {key:28s} worst |a-b|/max(1,|a|) = {rel:.3g}  ({where})")
     for line in other:
         print("not a float:", line)
-    return 0
+    return 1 if differ else 0
 
 
 def main():
