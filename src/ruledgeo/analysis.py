@@ -383,7 +383,7 @@ def near_miss_surfaces(n_steps=4096):
     specs = [
         ("near_edlinger_k_lam", dict(k=1.0, delta=-1.0, lam=-0.99)),
         ("near_edlinger_delta_prime",
-         dict(k=1.0, delta=lambda u: -(1.0 + 0.01 * jets.sin(u)), lam=-1.0)),
+         dict(k=1.0, delta="-(1 + 0.01*sin(u))", lam=-1.0)),
         ("near_orthoid", dict(k=0.8, delta=1.0, lam=0.01)),
         ("near_conoidal", dict(k=0.01, delta=1.0, lam=2.0)),
         ("near_right_helicoid", dict(k=0.01, delta=1.0, lam=0.01)),

@@ -47,18 +47,9 @@ class CurveFamily(Enum):
         return self.value
 
 
-def _pow(x, n):
-    """x**n, on an array element by element with Python's float power:
-    numpy's power can differ from it by an ulp, and a grid must give the
-    same numbers as its points."""
-    if isinstance(x, np.ndarray):
-        return np.array([y**n for y in x.ravel().tolist()]).reshape(x.shape)
-    return x**n
-
-
 def _s4_degenerate(p, v):
     # relation is identically 0 = 0 exactly when delta' = 0 and v = 0
-    scale = _pow(1.0 + abs(p.delta) + abs(v), 2)
+    scale = jets.power(1.0 + abs(p.delta) + abs(v), 2)
     return (abs(2.0 * p.delta * v) <= 1e-12 * scale) & (
         abs(p.delta_d1 * (p.delta * p.delta - v * v)) <= 1e-12 * scale
     )
@@ -138,7 +129,7 @@ def _closed_form(family, p, v):
     if family is CurveFamily.ORTH_RULINGS:
         return -(k * v * v + dd * v + d2 * (k + lam)) / (w2 * w)
     if family is CurveFamily.CONST_GAUSS:
-        v3, v4 = _pow(v, 3), _pow(v, 4)
+        v3, v4 = jets.power(v, 3), jets.power(v, 4)
         a = (
             (4.0 * d2 + dd * dd) * v4
             + 4.0 * d2 * dd * lam * v3

@@ -268,6 +268,15 @@ def as_jet(x):
     return Jet2(x, 0.0, 0.0, 0.0)
 
 
+def power(x, n):
+    """x**n, on an array element by element with Python's float power:
+    numpy's power can differ from it by an ulp, and a grid must give the
+    same numbers as its points."""
+    if isinstance(x, np.ndarray):
+        return np.array([y**n for y in x.ravel().tolist()]).reshape(x.shape)
+    return x**n
+
+
 def first_true(mask):
     """Where a check first holds: the index of the first true element of a
     bool array, `()` for a true scalar, None when it holds nowhere.

@@ -37,7 +37,7 @@ import operator
 import re
 
 from . import jets
-from .errors import ExpressionSyntaxError, UnknownIdentifier
+from .errors import ExpressionSyntaxError, SpecFormatError, UnknownIdentifier
 
 FUNCTIONS = {
     "sin": jets.sin,
@@ -197,8 +197,14 @@ def _children(node):
     return ()
 
 
+# the most instructions one program may have: the memory and time to compile
+# a program's generated float code grow with its length
+MAX_PROGRAM = 1024
+
+
 def compile_program(roots):
-    """Compile expression trees into one `Program`.
+    """Compile expression trees into one `Program` of at most `MAX_PROGRAM`
+    instructions; a longer one raises `SpecFormatError`.
 
     Subtrees are hash-consed by structure (node kind, operator or function,
     and the registers of the children), so each distinct subexpression is
@@ -250,6 +256,9 @@ def compile_program(roots):
         return done[id(root)]
 
     outputs = [register(root) for root in roots]
+    if len(code) > MAX_PROGRAM:
+        raise SpecFormatError(
+            f"expression program of {len(code)} instructions, more than {MAX_PROGRAM}")
     n = len(consts)
 
     def slot(r):

@@ -2,9 +2,10 @@
 
 A surface is x(u, v) = s(u) + v e(u) with |e| = |e'| = 1 and <s', e'> = 0,
 u the arclength along the spherical director curve. This module builds
-such surfaces from expressions, from a canonical gallery, from a general
-(base curve, director) pair via `standardize`, and from a complete system
-of invariants (k, delta, sigma) via moving-frame integration.
+such surfaces from expressions, from a canonical gallery (whose closed-form
+members are expressions too), from a general (base curve, director) pair
+via `standardize`, and from a complete system of invariants (k, delta,
+sigma) via moving-frame integration.
 """
 
 import bisect
@@ -77,14 +78,16 @@ _CURVE_ERRORS = (
 
 def _named_errors(fn, x, u):
     """fn(x), with a jet-level error raised as its `CurveEvaluationError`
-    naming u. One that an inner curve raised, and so named, passes as is."""
+    naming u. One that an inner curve raised, and so named, passes as is.
+    The message is the error's text: float power's overflow carries
+    (errno, text) as its arguments."""
     try:
         return fn(x)
     except CurveEvaluationError:
         raise
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         mapped = next(new for old, new in _CURVE_ERRORS if isinstance(exc, old))
-        raise mapped(f"{exc} at u = {u}") from None
+        raise mapped(f"{exc.args[-1] if exc.args else exc} at u = {u}") from None
 
 
 def _on_grid(grid_fn, point_fn, us):
@@ -114,7 +117,9 @@ class CurveR3:
 
     `raw_eval` maps u to the three component jets. It takes a float, and
     also a 1-d array of u, for which it returns jets whose slots are
-    arrays (or scalars, which `eval` broadcasts to the grid).
+    arrays (or scalars, which `eval` broadcasts to the grid). A closed-form
+    curve comes from `from_expressions`; the other raw evaluators are the
+    piecewise quintics and the standardized curves.
     """
 
     def __init__(self, raw_eval, domain, name=""):
@@ -123,16 +128,6 @@ class CurveR3:
         self.name = name
         if not self.domain[0] < self.domain[1]:
             raise ValueError(f"empty domain {self.domain}")
-
-    @classmethod
-    def from_jet_components(cls, fx, fy, fz, domain, name=""):
-        """Build from three closures mapping a jet (or float) to the component."""
-
-        def raw(u):
-            uj = Jet2.variable(u)
-            return (jets.as_jet(fx(uj)), jets.as_jet(fy(uj)), jets.as_jet(fz(uj)))
-
-        return cls(raw, domain, name)
 
     @classmethod
     def from_expressions(cls, sx, sy, sz, domain, name=""):
@@ -944,7 +939,8 @@ def standardize(base, director, grid=1024):
         tau = speed_from(eb, u)
         t0, t1, t2 = tau.value, tau.d1, tau.d2
         up = 1.0 / t0
-        return Jet2(u, up, -t1 / t0**3, (3.0 * t1 * t1 - t0 * t2) / t0**5), eb
+        return Jet2(u, up, -t1 / jets.power(t0, 3),
+                    (3.0 * t1 * t1 - t0 * t2) / jets.power(t0, 5)), eb
 
     def director_raw(t):
         uj, eb = frame(t)
@@ -991,39 +987,34 @@ def _is_finite(x):
         return False
 
 
+def _closed_form(name, comps, domain, **params):
+    """Gallery surface `name` of six component expressions, the striction
+    line then the director, whose {key} fields are the parameters. Each
+    enters the text as repr(float(x)) in parentheses: it round-trips
+    exactly (repr(x) can read `np.float64(1.5)` or `True`), and a negative
+    one stays one factor. A constant-zero component is 0*u, not 0, so on
+    a negative domain its value slot is -0.0."""
+    text = {key: f"({float(x)!r})" for key, x in params.items()}
+    label = f"{name}({', '.join(f'{key}={x:g}' for key, x in params.items())})"
+    return _expression_surface([c.format(**text) for c in comps], domain, label=label)
+
+
 def _right_helicoid(c=1.0, domain=DEFAULT_DOMAIN):
     # (k, delta, lambda) = (0, c, 0)
     _req(c != 0.0, "right_helicoid: need c != 0")
-    e = CurveR3.from_jet_components(
-        lambda u: jets.cos(u), lambda u: jets.sin(u), lambda u: 0.0 * u, domain
-    )
-    s = CurveR3.from_jet_components(
-        lambda u: 0.0 * u, lambda u: 0.0 * u, lambda u: c * u, domain
-    )
-    return StandardRuledSurface(s, e, domain, label=f"right_helicoid(c={c:g})")
-
-
-_SQ2 = math.sqrt(2.0)
+    return _closed_form("right_helicoid", (
+        "0*u", "0*u", "{c}*u", "cos(u)", "sin(u)", "0*u",
+    ), domain, c=c)
 
 
 def _hyperboloid_edlinger(c=1.0, domain=DEFAULT_DOMAIN):
     # Rotational hyperboloid with gorge circle radius c:
     # (k, delta, lambda) = (1, -c, -1), so delta' = 0 and k lambda + 1 = 0.
     _req(c > 0.0, "hyperboloid_edlinger: need c > 0")
-    rho = _SQ2 / 2.0
-    e = CurveR3.from_jet_components(
-        lambda u: rho * jets.cos(_SQ2 * u),
-        lambda u: rho * jets.sin(_SQ2 * u),
-        lambda u: 0.0 * u + rho,
-        domain,
-    )
-    s = CurveR3.from_jet_components(
-        lambda u: c * jets.sin(_SQ2 * u),
-        lambda u: -c * jets.cos(_SQ2 * u),
-        lambda u: 0.0 * u,
-        domain,
-    )
-    return StandardRuledSurface(s, e, domain, label=f"hyperboloid_edlinger(c={c:g})")
+    return _closed_form("hyperboloid_edlinger", (
+        "{c}*sin(sqrt(2)*u)", "-{c}*cos(sqrt(2)*u)", "0*u",
+        "sqrt(2)/2*cos(sqrt(2)*u)", "sqrt(2)/2*sin(sqrt(2)*u)", "0*u + sqrt(2)/2",
+    ), domain, c=c)
 
 
 def _orthoid_const_delta(r=0.6, delta=1.0, domain=DEFAULT_DOMAIN):
@@ -1031,23 +1022,12 @@ def _orthoid_const_delta(r=0.6, delta=1.0, domain=DEFAULT_DOMAIN):
     # the striction line, delta' = 0.
     _req(0.0 < r < 1.0, "orthoid_const_delta: need r in (0, 1)")
     _req(delta != 0.0, "orthoid_const_delta: need delta != 0")
-    z0 = math.sqrt(1.0 - r * r)
-    w = 1.0 / r
-    e = CurveR3.from_jet_components(
-        lambda u: r * jets.cos(w * u),
-        lambda u: r * jets.sin(w * u),
-        lambda u: 0.0 * u + z0,
-        domain,
-    )
-    s = CurveR3.from_jet_components(
-        lambda u: -delta * z0 * r * jets.sin(w * u),
-        lambda u: delta * z0 * r * jets.cos(w * u),
-        lambda u: delta * r * u,
-        domain,
-    )
-    return StandardRuledSurface(
-        s, e, domain, label=f"orthoid_const_delta(r={r:g}, delta={delta:g})"
-    )
+    return _closed_form("orthoid_const_delta", (
+        "-{delta}*sqrt(1 - {r}*{r})*{r}*sin(1/{r}*u)",
+        "{delta}*sqrt(1 - {r}*{r})*{r}*cos(1/{r}*u)",
+        "{delta}*{r}*u",
+        "{r}*cos(1/{r}*u)", "{r}*sin(1/{r}*u)", "0*u + sqrt(1 - {r}*{r})",
+    ), domain, r=r, delta=delta)
 
 
 def _conoidal_const_delta(alpha=2.0, beta=1.0, domain=DEFAULT_DOMAIN):
@@ -1055,18 +1035,9 @@ def _conoidal_const_delta(alpha=2.0, beta=1.0, domain=DEFAULT_DOMAIN):
     # rulings parallel to the plane z = 0.
     _req(alpha > 0.0, "conoidal_const_delta: need alpha > 0 (sign convention)")
     _req(beta != 0.0, "conoidal_const_delta: need beta != 0")
-    e = CurveR3.from_jet_components(
-        lambda u: jets.cos(u), lambda u: jets.sin(u), lambda u: 0.0 * u, domain
-    )
-    s = CurveR3.from_jet_components(
-        lambda u: alpha * jets.sin(u),
-        lambda u: -alpha * jets.cos(u),
-        lambda u: beta * u,
-        domain,
-    )
-    return StandardRuledSurface(
-        s, e, domain, label=f"conoidal_const_delta(alpha={alpha:g}, beta={beta:g})"
-    )
+    return _closed_form("conoidal_const_delta", (
+        "{alpha}*sin(u)", "-{alpha}*cos(u)", "{beta}*u", "cos(u)", "sin(u)", "0*u",
+    ), domain, alpha=alpha, beta=beta)
 
 
 def _generic_skew(seed=0, domain=DEFAULT_DOMAIN, n_steps=4096):
@@ -1084,9 +1055,9 @@ def _generic_skew(seed=0, domain=DEFAULT_DOMAIN, n_steps=4096):
     d0 = rng.uniform(0.8, 1.2)
     p3 = rng.uniform(0.0, 2.0 * math.pi)
     inv = InvariantTriple.from_functions(
-        k=lambda u: a0 + a1 * jets.sin(u + p1),
-        delta=lambda u: d0 * (1.0 + 0.15 * jets.sin(u + p3)),
-        lam=lambda u: l0 + l1 * jets.sin(u + p2),
+        k=f"{a0!r} + {a1!r}*sin(u + {p1!r})",
+        delta=f"{d0!r}*(1 + 0.15*sin(u + {p3!r}))",
+        lam=f"{l0!r} + {l1!r}*sin(u + {p2!r})",
         domain=domain,
     )
     surf = surface_from_invariants(inv, domain=domain, n_steps=n_steps)
@@ -1112,7 +1083,9 @@ def gallery(name, params=None, **kwargs):
 
     Names and parameters: right_helicoid(c), hyperboloid_edlinger(c),
     orthoid_const_delta(r, delta), conoidal_const_delta(alpha, beta),
-    generic_skew(seed). All accept `domain=(lo, hi)`.
+    generic_skew(seed). All accept `domain=(lo, hi)`. The first four are
+    expression curves (`_closed_form`), generic_skew is integrated from
+    expression profiles.
     """
     if name not in _GALLERY:
         raise UnknownGalleryName(
@@ -1191,11 +1164,7 @@ def load_spec(spec, standardize_input=False):
         comps = [spec[k] for k in _EXPR_KEYS]
         if not all(isinstance(c, str) for c in comps):
             raise SpecFormatError("expression components must be strings")
-        c = CurveR3.from_expressions(*comps[0:3], domain=domain)
-        d = CurveR3.from_expressions(*comps[3:6], domain=domain)
-        if standardize_input:
-            return standardize(c, d)
-        return StandardRuledSurface(c, d, domain)
+        return _expression_surface(comps, domain, standardize_input)
     if kind == "invariants":
         allowed = {"type", "u", "k", "delta", "sigma"}
         _check_keys(spec, allowed)
@@ -1209,6 +1178,17 @@ def load_spec(spec, standardize_input=False):
     raise SpecFormatError(
         f"unknown spec type {kind!r}; expected gallery | expression | invariants"
     )
+
+
+def _expression_surface(comps, domain, standardize_input=False, label=""):
+    """Surface of six component expressions: the striction line and unit
+    director, or with `standardize_input` a base curve and director to
+    standardize."""
+    c = CurveR3.from_expressions(*comps[0:3], domain=domain)
+    d = CurveR3.from_expressions(*comps[3:6], domain=domain)
+    if standardize_input:
+        return standardize(c, d)
+    return StandardRuledSurface(c, d, domain, label=label)
 
 
 def _check_keys(spec, allowed):

@@ -366,6 +366,33 @@ def test_deeply_nested_expression_exits_one(tmp_path, capsys):
     assert err.startswith("error: syntax error at position 64") and "Traceback" not in err
 
 
+def test_expression_longer_than_the_program_bound_exits_one(tmp_path, capsys):
+    from ruledgeo.parser import MAX_PROGRAM
+
+    terms = " + ".join(f"{k}*u" for k in range(1, 20001))  # 39 999 instructions
+    spec = write_spec(tmp_path, {"type": "expression", "cx": "0", "cy": "0", "cz": terms,
+                                 "dx": "cos(u)", "dy": "sin(u)", "dz": "0",
+                                 "domain": [0.0, 6.0]})
+    assert run(["classify", "--spec", spec, "--grid", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: expression program of 39999 instructions, "
+                            f"more than {MAX_PROGRAM}\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("cx", ["2^2^2^2^2^2", "(u + 1e100)^3.5"])
+def test_float_power_overflow_names_its_text(tmp_path, capsys, cx):
+    try:
+        10.0**400.0
+    except OverflowError as exc:
+        errno, text = exc.args  # the C library's text for ERANGE
+    spec = write_spec(tmp_path, {"type": "expression", "cx": cx, "cy": "0", "cz": "u",
+                                 "dx": "cos(u)", "dy": "sin(u)", "dz": "0",
+                                 "domain": [0.0, 1.0]})
+    assert run(["classify", "--spec", spec, "--grid", "8"]) == 1
+    assert capsys.readouterr().err == f"error: {text} at u = 0.0\n"
+
+
 
 def test_delta_zero_at_a_traced_point_exits_one(tmp_path, capsys):
     # delta = (u - a)^2 touches 0 at u = a between two of the construction

@@ -269,11 +269,13 @@ def test_nesting_is_bounded_and_long_sums_compile():
             parse_expression(src)
     shallow = "(" * (MAX_DEPTH - 1) + "u" + ")" * (MAX_DEPTH - 1)
     assert parse_expression(shallow).eval(0.5) == 0.5
-    # a sum of n terms is a tree n deep; compiling and running it recurse nowhere
-    expr = parse_expression(" + ".join(["u"] * 5000))
-    assert expr.eval(1.0) == 5000.0
+    # a sum of n terms is a tree n deep; compiling and running it recurse
+    # nowhere, up to the program bound (n - 1 additions)
+    n = parser.MAX_PROGRAM + 1
+    expr = parse_expression(" + ".join(["u"] * n))
+    assert expr.eval(1.0) == float(n)
     jet = expr.eval_jet(2.0)
-    assert (jet.value, jet.d1, jet.d2) == (10000.0, 5000.0, 0.0)
+    assert (jet.value, jet.d1, jet.d2) == (2.0 * n, float(n), 0.0)
 
 
 # generated straight-line code and its template cache ---------------------------
@@ -320,10 +322,29 @@ def test_constants_and_signs_share_one_template():
 def test_long_sum_compiles_to_straight_line_code():
     from ruledgeo.surface import CurveR3
 
-    srcs = (" + ".join(f"{k}*u" for k in range(1, 5001)), "sin(u)", "1")
+    # n products and n - 1 sums, and sin(u): a program at the bound
+    n = parser.MAX_PROGRAM // 2
+    srcs = (" + ".join(f"{k}*u" for k in range(1, n + 1)), "sin(u)", "1")
+    assert len(_program(*srcs).code) == parser.MAX_PROGRAM
     curve = CurveR3.from_expressions(*srcs, domain=(0.0, 1.0))
     assert outcome(lambda: curve.eval(0.5)) == _run_bits(_program(*srcs), 0.5)
-    assert curve.eval(0.5)[0].value == 0.5 * 5000 * 5001 / 2
+    assert curve.eval(0.5)[0].value == 0.5 * n * (n + 1) / 2
+
+
+def test_programs_longer_than_the_bound_are_rejected():
+    from ruledgeo.errors import SpecFormatError
+    from ruledgeo.surface import CurveR3, InvariantTriple
+
+    n = parser.MAX_PROGRAM // 2
+    terms = " + ".join(f"{k}*u" for k in range(1, n + 1))
+    message = (f"^expression program of {parser.MAX_PROGRAM + 1} instructions, "
+               f"more than {parser.MAX_PROGRAM}$")
+    # the three components count together, a shared subexpression once
+    CurveR3.from_expressions(terms, "sin(u)", terms, (0.0, 1.0))
+    with pytest.raises(SpecFormatError, match=message):
+        CurveR3.from_expressions(terms, "sin(u)", "cos(u)", (0.0, 1.0))
+    with pytest.raises(SpecFormatError, match=message):
+        InvariantTriple.from_functions(k=f"{terms} + sin(u)", delta=1.0, lam=0.0)
 
 
 def test_a_raising_constant_raises_in_its_place():

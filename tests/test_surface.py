@@ -482,6 +482,19 @@ def test_standardized_grid_eval_matches_points():
                     assert abs(a[i] - b) <= 1e-12 * max(1.0, abs(b))
 
 
+def test_standardized_grid_invariants_equal_the_float_path():
+    # the pairs of sines and cosines only: numpy's exp and fractional power
+    # on arrays can differ from math's by an ulp in the input curves too
+    for pair in GENERAL_PAIRS[:2]:
+        surf = standardize(*(CurveR3.from_expressions(*comps, DEFAULT_DOMAIN)
+                             for comps in pair))
+        us = np.linspace(0.0, surf.domain[1], 129)
+        grid = point_invariants(surf, us)
+        points = [point_invariants(surf, u) for u in us.tolist()]
+        for field in ("k", "delta", "delta_d1", "lam", "sigma"):
+            _assert_same_bits(getattr(grid, field), [getattr(p, field) for p in points])
+
+
 def _count_raw_evals(monkeypatch, **curves):
     """Wrap each curve's `raw_eval`; returns the live count per name."""
     calls = dict.fromkeys(curves, 0)
@@ -593,6 +606,19 @@ def test_grid_jet_errors_name_u(comps, u_bad, exc):
     with pytest.raises(exc):
         curve.eval(us)
     assert f"u = {u_bad}" in grid_msg and grid_msg == scalar_msg
+
+
+@pytest.mark.parametrize("cx", ["2^2^2^2^2^2", "(u + 1e100)^3.5"])
+def test_float_power_overflow_names_its_text(cx):
+    try:
+        10.0**400.0
+    except OverflowError as exc:
+        errno, text = exc.args  # the C library's text for ERANGE
+    curve = CurveR3.from_expressions(cx, "0", "u", (0.0, 1.0))
+    for u in (0.0, np.linspace(0.0, 1.0, 5)):
+        with pytest.raises(CurveOverflow) as err:
+            curve.eval(u)
+        assert str(err.value) == f"{text} at u = 0.0"
 
 
 def test_grid_out_of_domain_names_u():

@@ -8,6 +8,9 @@ The list of calls is fixed:
   seed 7 (`perfbench/workloads.make_plan`, read only), each with the
   `--standardize` flag its plan request carries;
 - the `generic_skew` gallery surface of seeds 0 and 1;
+- each closed-form gallery member (`CLOSED_FORM`) at the parameters
+  `verify` uses, at int parameters, and at parameters drawn with seed
+  `SEED` on the domain `DRAWN_DOMAIN`, which reaches negative u;
 - for each of these specs: `classify`, `invariants --format json`, `fit`
   on each of the six families and `trace --format json` on each family;
 - `verify --all --format json`.
@@ -31,6 +34,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 
@@ -39,6 +43,17 @@ SEED = 7
 ROUNDS = 4
 FAMILIES = ("lc1", "lc2", "s1", "s2", "s3", "s4")
 SPECS = "<specs>"
+# closed-form gallery members: the verify parameters, int parameters, and the
+# ranges of the drawn ones
+CLOSED_FORM = {
+    "right_helicoid": ({"c": 1.0}, {"c": 2}, {"c": (-3.0, -0.2)}),
+    "hyperboloid_edlinger": ({"c": 1.0}, {"c": 3}, {"c": (0.2, 3.0)}),
+    "orthoid_const_delta": ({"r": 0.6, "delta": 1.0}, {"r": 0.5, "delta": -2},
+                            {"r": (0.1, 0.9), "delta": (-3.0, -0.2)}),
+    "conoidal_const_delta": ({"alpha": 2.0, "beta": 1.0}, {"alpha": 3, "beta": -2},
+                             {"alpha": (0.2, 3.0), "beta": (-3.0, -0.2)}),
+}
+DRAWN_DOMAIN = [-3.0, 1.0]
 
 
 def _specs(spec_dir):
@@ -49,10 +64,16 @@ def _specs(spec_dir):
     inputs, _ = workloads.make_plan("build", SEED, spec_dir)
     specs = [(req["argv"][2], "--standardize" in req["argv"])
              for reqs in inputs["rounds"][:ROUNDS] for req in reqs]
-    for seed in (0, 1):
-        path = os.path.join(spec_dir, f"generic_skew-{seed}.json")
+    gallery = [("generic_skew", f"seed-{seed}", {"seed": seed}) for seed in (0, 1)]
+    rng = random.Random(SEED)
+    for name, (verify, ints, ranges) in CLOSED_FORM.items():
+        drawn = {key: rng.uniform(lo, hi) for key, (lo, hi) in ranges.items()}
+        gallery += [(name, "verify", verify), (name, "int", ints),
+                    (name, "drawn", {**drawn, "domain": DRAWN_DOMAIN})]
+    for name, tag, params in gallery:
+        path = os.path.join(spec_dir, f"{name}-{tag}.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"type": "gallery", "name": "generic_skew", "params": {"seed": seed}}, fh)
+            json.dump({"type": "gallery", "name": name, "params": params}, fh)
         specs.append((path, False))
     return specs
 
