@@ -2,11 +2,14 @@
 
 The slots of a `Jet2` hold Python floats (one point) or 1-d numpy arrays
 (a grid, one element per point). Every rule is written once and runs on
-both: scalar slots go through `math`, array slots through numpy, and a
-scalar slot broadcasts against an array one. Callers pass floats, not
-numpy scalars, for the scalar path, which is several times cheaper. The
-module-level math functions dispatch the same way on floats, arrays and
-jets, so one closure evaluates values, derivatives and whole grids.
+both: scalar slots go through `math`, and a scalar slot broadcasts
+against an array one. Array slots take `math`'s functions element by
+element, except `sin`, `cos` and `sqrt`, whose numpy versions give the
+same bits; so a grid gives the same numbers as its points. Callers pass
+floats, not numpy scalars, for the scalar path, which is several times
+cheaper. The module-level math functions dispatch the same way on
+floats, arrays and jets, so one closure evaluates values, derivatives
+and whole grids.
 """
 
 import math
@@ -19,6 +22,17 @@ _NUMBER = (int, float, np.ndarray)
 def _lib(v):
     """The module whose functions evaluate a slot value: numpy or math."""
     return np if isinstance(v, np.ndarray) else math
+
+
+def _each(fn, x):
+    """fn on every element of an array x, as Python floats: numpy's own
+    functions can differ from math's by an ulp."""
+    return np.array([fn(y) for y in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _math(fn, v):
+    """math's function fn at a slot value v, element by element on an array."""
+    return _each(fn, v) if isinstance(v, np.ndarray) else fn(v)
 
 
 def _any(mask):
@@ -169,10 +183,10 @@ class Jet2:
             v = self.value
             if _any(v <= 0.0):
                 raise ValueError("fractional power of a non-positive jet value")
-            f0 = v**p
-            f1 = p * v ** (p - 1.0)
-            f2 = p * (p - 1.0) * v ** (p - 2.0)
-            f3 = p * (p - 1.0) * (p - 2.0) * v ** (p - 3.0)
+            f0 = power(v, p)
+            f1 = p * power(v, p - 1.0)
+            f2 = p * (p - 1.0) * power(v, p - 2.0)
+            f3 = p * (p - 1.0) * (p - 2.0) * power(v, p - 3.0)
             return self._compose(f0, f1, f2, f3)
         return NotImplemented
 
@@ -180,7 +194,7 @@ class Jet2:
         if isinstance(base, _NUMBER):
             if _any(base <= 0.0):
                 raise ValueError("jet exponent requires a positive base")
-            return (self * _lib(base).log(base)).exp()
+            return (self * _math(math.log, base)).exp()
         return NotImplemented
 
     def _int_pow(self, n):
@@ -219,7 +233,7 @@ class Jet2:
         return self._compose(c, -s, -c, s)
 
     def tan(self):
-        t = _lib(self.value).tan(self.value)
+        t = _math(math.tan, self.value)
         sec2 = 1.0 + t * t
         return self._compose(t, sec2, 2.0 * t * sec2, (2.0 + 6.0 * t * t) * sec2)
 
@@ -230,29 +244,27 @@ class Jet2:
             raise ValueError("jet sqrt of a non-positive value")
         r = _lib(v).sqrt(v)
         inv = 0.5 / r
-        return self._compose(r, inv, -0.5 * inv / v, 0.75 * inv / v**2)
+        return self._compose(r, inv, -0.5 * inv / v, 0.75 * inv / power(v, 2))
 
     def exp(self):
-        e = _lib(self.value).exp(self.value)
+        e = _math(math.exp, self.value)
         return self._compose(e, e, e, e)
 
     def log(self):
         v = self.value
         if _any(v <= 0.0):
             raise ValueError("jet log of a non-positive value")
-        f0 = _lib(v).log(v)
+        f0 = _math(math.log, v)
         return self._compose(f0, 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
 
     def sinh(self):
         v = self.value
-        m = _lib(v)
-        s, c = m.sinh(v), m.cosh(v)
+        s, c = _math(math.sinh, v), _math(math.cosh, v)
         return self._compose(s, c, s, c)
 
     def cosh(self):
         v = self.value
-        m = _lib(v)
-        s, c = m.sinh(v), m.cosh(v)
+        s, c = _math(math.sinh, v), _math(math.cosh, v)
         return self._compose(c, s, c, s)
 
 
@@ -269,9 +281,13 @@ def as_jet(x):
 
 
 def power(x, n):
-    """x**n, on an array element by element with Python's float power:
+    """x**n, on arrays element by element with Python's float power:
     numpy's power can differ from it by an ulp, and a grid must give the
-    same numbers as its points."""
+    same numbers as its points. An array n broadcasts against x."""
+    if isinstance(n, np.ndarray):
+        x, n = np.broadcast_arrays(x, n)
+        pairs = zip(x.ravel().tolist(), n.ravel().tolist())
+        return np.array([y**m for y, m in pairs]).reshape(x.shape)
     if isinstance(x, np.ndarray):
         return np.array([y**n for y in x.ravel().tolist()]).reshape(x.shape)
     return x**n
@@ -292,11 +308,14 @@ def first_true(mask):
 # float-, array- or jet-valued elementary functions ----------------------------
 
 
-def _elementary(name, domain=None):
-    """`name` as the `Jet2` method for jets, from numpy for arrays and from
-    math for numbers. `domain`, if given, tells which array elements are
-    valid; outside it an array raises ValueError as math does."""
-    method, array, scalar = getattr(Jet2, name), getattr(np, name), getattr(math, name)
+def _elementary(name, domain=None, numpy_agrees=False):
+    """`name` as the `Jet2` method for jets and from math for numbers. An
+    array takes numpy's function where it agrees with math's bit for bit
+    (`numpy_agrees`), else math's element by element. `domain`, if given,
+    tells which array elements are valid; outside it an array raises
+    ValueError as math does."""
+    method, scalar = getattr(Jet2, name), getattr(math, name)
+    array = getattr(np, name) if numpy_agrees else (lambda x: _each(scalar, x))
 
     def fn(x):
         if isinstance(x, Jet2):
@@ -311,10 +330,10 @@ def _elementary(name, domain=None):
     return fn
 
 
-sin = _elementary("sin")
-cos = _elementary("cos")
+sin = _elementary("sin", numpy_agrees=True)
+cos = _elementary("cos", numpy_agrees=True)
 tan = _elementary("tan")
-sqrt = _elementary("sqrt", lambda x: x >= 0.0)
+sqrt = _elementary("sqrt", lambda x: x >= 0.0, numpy_agrees=True)
 exp = _elementary("exp")
 log = _elementary("log", lambda x: x > 0.0)
 sinh = _elementary("sinh")
@@ -347,10 +366,6 @@ def norm(a):
 
 def scale(a, f):
     return (a[0] * f, a[1] * f, a[2] * f)
-
-
-def sub3(a, b):
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
 def deriv3(a):

@@ -76,18 +76,23 @@ _CURVE_ERRORS = (
 )
 
 
+def _curve_error(exc, u):
+    """The `CurveEvaluationError` for a jet-level error at u. Its message is
+    the error's text: float power's overflow carries (errno, text) as its
+    arguments."""
+    mapped = next(new for old, new in _CURVE_ERRORS if isinstance(exc, old))
+    return mapped(f"{exc.args[-1] if exc.args else exc} at u = {u}")
+
+
 def _named_errors(fn, x, u):
     """fn(x), with a jet-level error raised as its `CurveEvaluationError`
-    naming u. One that an inner curve raised, and so named, passes as is.
-    The message is the error's text: float power's overflow carries
-    (errno, text) as its arguments."""
+    naming u. One that an inner curve raised, and so named, passes as is."""
     try:
         return fn(x)
     except CurveEvaluationError:
         raise
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        mapped = next(new for old, new in _CURVE_ERRORS if isinstance(exc, old))
-        raise mapped(f"{exc.args[-1] if exc.args else exc} at u = {u}") from None
+        raise _curve_error(exc, u) from None
 
 
 def _on_grid(grid_fn, point_fn, us):
@@ -124,10 +129,12 @@ class CurveR3:
 
     def __init__(self, raw_eval, domain, name=""):
         self.raw_eval = raw_eval  # u (float or 1-d array) -> (Jet2, Jet2, Jet2)
-        self.domain = (float(domain[0]), float(domain[1]))
+        self.domain = lo, hi = (float(domain[0]), float(domain[1]))
         self.name = name
-        if not self.domain[0] < self.domain[1]:
+        if not lo < hi:
             raise ValueError(f"empty domain {self.domain}")
+        slack = 1e-9 * (1.0 + hi - lo)
+        self._lo, self._hi = lo - slack, hi + slack  # the accepted u
 
     @classmethod
     def from_expressions(cls, sx, sy, sz, domain, name=""):
@@ -146,11 +153,10 @@ class CurveR3:
         return cls(raw, domain, name)
 
     def _check_domain(self, u):
-        lo, hi = self.domain
-        slack = 1e-9 * (1.0 + hi - lo)
-        inside = (u >= lo - slack) & (u <= hi + slack)  # false for a NaN u
+        inside = (u >= self._lo) & (u <= self._hi)  # false for a NaN u
         i = jets.first_true(~inside if isinstance(inside, np.ndarray) else not inside)
         if i is not None:
+            lo, hi = self.domain
             raise OutOfDomain(f"u = {np.asarray(u)[i]} outside [{lo}, {hi}]")
 
     def eval(self, u):
@@ -158,16 +164,26 @@ class CurveR3:
 
         Jet-level errors (a square root or logarithm outside its domain, a
         zero divisor, an overflow) raise a `CurveEvaluationError` naming the
-        offending u; on a grid, the first offending u.
+        offending u; on a grid, the first offending u. A non-finite value,
+        d1 or d2 slot raises `IntegrationFailure`.
         """
         if isinstance(u, np.ndarray):
             return self._eval_grid(u)
         u = float(u)
-        self._check_domain(u)
-        out = _named_errors(self.raw_eval, u, u)
-        for c in out:
-            if not (math.isfinite(c.value) and math.isfinite(c.d1) and math.isfinite(c.d2)):
-                raise IntegrationFailure(f"non-finite curve value at u = {u}")
+        if not self._lo <= u <= self._hi:  # false for a NaN u too
+            self._check_domain(u)
+        try:
+            out = self.raw_eval(u)
+        except CurveEvaluationError:
+            raise
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise _curve_error(exc, u) from None
+        x, y, z = out
+        isfinite = math.isfinite
+        if not (isfinite(x.value) and isfinite(x.d1) and isfinite(x.d2)
+                and isfinite(y.value) and isfinite(y.d1) and isfinite(y.d2)
+                and isfinite(z.value) and isfinite(z.d1) and isfinite(z.d2)):
+            raise IntegrationFailure(f"non-finite curve value at u = {u}")
         return out
 
     def _eval_grid(self, us):
@@ -819,7 +835,8 @@ def _segment_integral(fn, a, b):
 
 
 def _arclength_table(speed_jet, lo, hi, n):
-    """Arclength table of a director with spherical speed jet `speed_jet`.
+    """Arclength table of a director whose spherical speed tau and its
+    derivative tau' at u are `speed_jet(u)`.
 
     Returns the n + 1 uniform nodes u_i on [lo, hi], the arclength t_i at
     each (4-point Gauss rule per segment, one grid call on all Gauss
@@ -831,7 +848,7 @@ def _arclength_table(speed_jet, lo, hi, n):
     underflows or overflows.
     """
     us = np.linspace(lo, hi, n + 1)
-    seg = _segment_integral(lambda u: speed_jet(u).value, us[:-1], us[1:])
+    seg = _segment_integral(lambda u: speed_jet(u)[0], us[:-1], us[1:])
     t_nodes = np.concatenate(([0.0], np.cumsum(seg)))
     h = np.diff(t_nodes)
     with np.errstate(all="ignore"):
@@ -842,9 +859,9 @@ def _arclength_table(speed_jet, lo, hi, n):
             f"arclength table segment of length {h[i]:.3e} at u = {us[i]}: "
             "its fifth power under- or overflows a float"
         )
-    tau = speed_jet(us)
-    up = 1.0 / tau.value
-    coef = _quintic_hermite(us, up, -tau.d1 * up**3, h)
+    tau, dtau = speed_jet(us)
+    up = 1.0 / tau
+    coef = _quintic_hermite(us, up, -dtau * up**3, h)
     return us, t_nodes, coef
 
 
@@ -878,37 +895,85 @@ def standardize(base, director, grid=1024):
 
     The third-order jet slot of the returned striction curve is not
     tracked (it would require fourth derivatives of the input).
-    Every helper below takes a float u or a 1-d array of them.
+    Every helper below takes a float u or a 1-d array of them and works on
+    jet slots, not `Jet2` objects. Each slot is computed by the operations
+    of the `Jet2` rules in their order (the product rule of `jets.dot` and
+    `jets.scale`, summed as `jets.dot` sums, the chain rule of `sqrt` and
+    of the composition with u(t), the quotient rule, 1/r included), so it
+    is the jet expression's number bit for bit (Griewank and Walther,
+    "Evaluating Derivatives", 2008, ch. 13). Slots that feed no output are
+    not computed.
     """
     if base.domain != director.domain:
         raise ValueError("base and director must share a domain")
     lo, hi = director.domain
 
-    def ebar_jets(u):
-        d = director.eval(u)
-        n2 = jets.dot(d, d)
-        i = jets.first_true(n2.value < TOL_DIRECTOR**2)
+    def unit_director(u, full):
+        """Slots of e = d / |d| at u, the normalized director, of
+        g = <e', e'> and of the spherical speed tau = sqrt(g): e as three
+        component lists [value, d1, d2], g as [value, d1] and tau as
+        [tau, tau']. `full` adds the d3 slot of e and the d2 slots of g
+        and tau."""
+        sqrt = np.sqrt if isinstance(u, np.ndarray) else math.sqrt
+        d = [[c.value, c.d1, c.d2, c.d3] for c in director.eval(u)]
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = d
+        # n = <d, d>
+        n0 = a0 * a0 + b0 * b0 + c0 * c0
+        i = jets.first_true(n0 < TOL_DIRECTOR**2)
         if i is not None:
             raise DegenerateDirector(f"|d(u)| ~ 0 at u = {np.asarray(u)[i]}")
-        return jets.scale(d, 1.0 / n2.sqrt())
-
-    def speed_from(eb, u):
-        """Spherical speed jet at u from the normalized director jets there."""
-        ebp = jets.deriv3(eb)
-        n2 = jets.dot(ebp, ebp)
-        i = jets.first_true(n2.value < TOL_TORSAL * TOL_TORSAL)
+        n1 = (a1 * a0 + a0 * a1) + (b1 * b0 + b0 * b1) + (c1 * c0 + c0 * c1)
+        n2 = ((a2 * a0 + 2.0 * a1 * a1 + a0 * a2) + (b2 * b0 + 2.0 * b1 * b1 + b0 * b2)
+              + (c2 * c0 + 2.0 * c1 * c1 + c0 * c2))
+        # r = sqrt(n), then w = 1 / r
+        r0 = sqrt(n0)
+        f1 = 0.5 / r0
+        f2 = -0.5 * f1 / n0
+        r1 = f1 * n1
+        r2 = f2 * n1 * n1 + f1 * n2
+        w0 = 1.0 / r0
+        w1 = (0.0 - w0 * r1) / r0
+        w2 = (0.0 - w0 * r2 - 2.0 * w1 * r1) / r0
+        if full:
+            n3 = ((a3 * a0 + 3.0 * a2 * a1 + 3.0 * a1 * a2 + a0 * a3)
+                  + (b3 * b0 + 3.0 * b2 * b1 + 3.0 * b1 * b2 + b0 * b3)
+                  + (c3 * c0 + 3.0 * c2 * c1 + 3.0 * c1 * c2 + c0 * c3))
+            f3 = 0.75 * f1 / jets.power(n0, 2)
+            r3 = f3 * n1 * n1 * n1 + 3.0 * f2 * n1 * n2 + f1 * n3
+            w3 = (0.0 - w0 * r3 - 3.0 * w1 * r2 - 3.0 * w2 * r1) / r0
+            e = [[p0 * w0, p1 * w0 + p0 * w1, p2 * w0 + 2.0 * p1 * w1 + p0 * w2,
+                  p3 * w0 + 3.0 * p2 * w1 + 3.0 * p1 * w2 + p0 * w3]
+                 for p0, p1, p2, p3 in d]
+        else:
+            e = [[p0 * w0, p1 * w0 + p0 * w1, p2 * w0 + 2.0 * p1 * w1 + p0 * w2]
+                 for p0, p1, p2, _ in d]
+        x, y, z = e
+        # g = <e', e'>
+        g0 = x[1] * x[1] + y[1] * y[1] + z[1] * z[1]
+        i = jets.first_true(g0 < TOL_TORSAL * TOL_TORSAL)
         if i is not None:
             raise TorsalRuling(
-                f"|e'(u)| ~ {math.sqrt(max(np.asarray(n2.value)[i], 0.0)):.3e} "
+                f"|e'(u)| ~ {math.sqrt(max(np.asarray(g0)[i], 0.0)):.3e} "
                 f"at u = {np.asarray(u)[i]}; ruling is (numerically) torsal"
             )
-        return n2.sqrt()
+        g1 = ((x[2] * x[1] + x[1] * x[2]) + (y[2] * y[1] + y[1] * y[2])
+              + (z[2] * z[1] + z[1] * z[2]))
+        # tau = sqrt(g)
+        t0 = sqrt(g0)
+        h1 = 0.5 / t0
+        if not full:
+            return e, [g0, g1], [t0, h1 * g1]
+        g2 = ((x[3] * x[1] + 2.0 * x[2] * x[2] + x[1] * x[3])
+              + (y[3] * y[1] + 2.0 * y[2] * y[2] + y[1] * y[3])
+              + (z[3] * z[1] + 2.0 * z[2] * z[2] + z[1] * z[3]))
+        h2 = -0.5 * h1 / g0
+        return e, [g0, g1, g2], [t0, h1 * g1, h2 * g1 * g1 + h1 * g2]
 
     def speed_jet(u):
-        return speed_from(ebar_jets(u), u)
+        return unit_director(u, False)[2]
 
     def speed(u):
-        return speed_jet(u).value
+        return speed_jet(u)[0]
 
     n = grid
     while True:
@@ -931,30 +996,39 @@ def standardize(base, director, grid=1024):
 
     @_LastCall
     def frame(t):
-        """Jet of u(t), the inverse arclength map, and the normalized
-        director jets at u(t). A point evaluation of the surface asks both
-        curves for the same t in turn, so the latest float t is kept."""
+        """Slots of u(t), the inverse arclength map (value and three
+        derivatives), then those of e and g at u(t), as `unit_director`
+        gives them. A point evaluation of the surface asks both curves for
+        the same t in turn, so the latest float t is kept."""
         u = invert(t)
-        eb = ebar_jets(u)
-        tau = speed_from(eb, u)
-        t0, t1, t2 = tau.value, tau.d1, tau.d2
+        e, g, (t0, t1, t2) = unit_director(u, True)
         up = 1.0 / t0
-        return Jet2(u, up, -t1 / jets.power(t0, 3),
-                    (3.0 * t1 * t1 - t0 * t2) / jets.power(t0, 5)), eb
+        return (u, up, -t1 / jets.power(t0, 3),
+                (3.0 * t1 * t1 - t0 * t2) / jets.power(t0, 5)), e, g
 
     def director_raw(t):
-        uj, eb = frame(t)
-        return tuple(uj._compose(c.value, c.d1, c.d2, c.d3) for c in eb)
+        (_, x1, x2, x3), e, _ = frame(t)
+        return tuple([Jet2(c0, c1 * x1, c2 * x1 * x1 + c1 * x2,
+                           c3 * x1 * x1 * x1 + 3.0 * c2 * x1 * x2 + c1 * x3)
+                      for c0, c1, c2, c3 in e])
 
     def striction_raw(t):
-        uj, eb = frame(t)
-        c = base.eval(uj.value)
-        cp = jets.deriv3(c)
-        ebp = jets.deriv3(eb)
-        m = jets.dot(cp, ebp) / jets.dot(ebp, ebp)
-        s_u = jets.sub3(c, jets.scale(eb, m))
-        out = tuple(uj._compose(comp.value, comp.d1, comp.d2, comp.d3) for comp in s_u)
-        return tuple(Jet2(c.value, c.d1, c.d2, 0.0) for c in out)
+        (u, x1, x2, _), e, (g0, g1, g2) = frame(t)
+        c = [[j.value, j.d1, j.d2, j.d3] for j in base.eval(u)]
+        # m = <c', e'> / g, to order 2
+        (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = [
+            (c1 * e1, c2 * e1 + c1 * e2, c3 * e1 + 2.0 * c2 * e2 + c1 * e3)
+            for (_, c1, c2, c3), (_, e1, e2, e3) in zip(c, e)]
+        m0 = (p0 + q0 + r0) / g0
+        m1 = ((p1 + q1 + r1) - m0 * g1) / g0
+        m2 = ((p2 + q2 + r2) - m0 * g2 - 2.0 * m1 * g1) / g0
+        out = []
+        for (c0, c1, c2, _), (e0, e1, e2, _) in zip(c, e):
+            # s = c - e m, composed with u(t)
+            s1 = c1 - (e1 * m0 + e0 * m1)
+            s2 = c2 - (e2 * m0 + 2.0 * e1 * m1 + e0 * m2)
+            out.append(Jet2(c0 - e0 * m0, s1 * x1, s2 * x1 * x1 + s1 * x2, 0.0))
+        return tuple(out)
 
     director_curve = CurveR3(director_raw, (0.0, t_total), "director")
     striction_curve = CurveR3(striction_raw, (0.0, t_total), "striction")

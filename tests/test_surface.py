@@ -68,6 +68,53 @@ def test_out_of_domain(right_helicoid):
         extract_invariants(right_helicoid, 100.0)
 
 
+def _slot_curve(bad_slot=None, value=math.inf):
+    """A curve on [0, 1] whose nine value/d1/d2 slots and three d3 slots
+    are finite, but for the slot named (component, slot), set to `value`."""
+
+    def raw(u):
+        comps = [dict(value=u, d1=1.0, d2=0.5, d3=0.25) for _ in range(3)]
+        if bad_slot is not None:
+            comps[bad_slot[0]][bad_slot[1]] = value
+        return tuple(Jet2(**c) for c in comps)
+
+    return CurveR3(raw, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("component", range(3))
+@pytest.mark.parametrize("slot", ["value", "d1", "d2", "d3"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_curve_eval_rejects_each_non_finite_slot(component, slot, value):
+    curve = _slot_curve((component, slot), value)
+    if slot == "d3":  # the third-order slot is not checked
+        assert math.isnan(curve.eval(0.5)[component].d3) == math.isnan(value)
+        return
+    with pytest.raises(IntegrationFailure, match=r"non-finite curve value at u = 0\.5$"):
+        curve.eval(0.5)
+
+
+def test_curve_eval_domain_edges():
+    curve = _slot_curve()
+    slack = 1e-9 * 2.0  # 1e-9 (1 + hi - lo)
+    for u in (0.0, 1.0, -slack, 1.0 + slack, 0, True):
+        assert curve.eval(u)[0].value == float(u)
+    for u, shown in ((-2.1 * slack, repr(-2.1 * slack)), (1.0 + 2.1 * slack, "1.0000000042"),
+                     (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")):
+        with pytest.raises(OutOfDomain, match=rf"^u = {shown}.* outside \[0\.0, 1\.0\]$"):
+            curve.eval(u)
+    with pytest.raises(OutOfDomain, match=r"^u = nan outside \[0\.0, 1\.0\]$"):
+        curve.eval(np.array([0.5, math.nan]))
+
+
+def test_curve_eval_names_jet_errors_at_u():
+    def raw(u):
+        return (Jet2.variable(u).log(), Jet2.variable(u), Jet2.variable(u))
+
+    curve = CurveR3(raw, (-1.0, 1.0))
+    with pytest.raises(CurveDomainError, match=r"^jet log of a non-positive value at u = -0\.5$"):
+        curve.eval(-0.5)
+
+
 def _sampled_surface():
     u = np.linspace(0.0, 2.0 * math.pi, 33)
     profiles = {"k": 1.0 + 0.2 * np.sin(u), "delta": 1.0 + 0.1 * np.cos(u),
@@ -482,17 +529,191 @@ def test_standardized_grid_eval_matches_points():
                     assert abs(a[i] - b) <= 1e-12 * max(1.0, abs(b))
 
 
-def test_standardized_grid_invariants_equal_the_float_path():
-    # the pairs of sines and cosines only: numpy's exp and fractional power
-    # on arrays can differ from math's by an ulp in the input curves too
-    for pair in GENERAL_PAIRS[:2]:
-        surf = standardize(*(CurveR3.from_expressions(*comps, DEFAULT_DOMAIN)
-                             for comps in pair))
-        us = np.linspace(0.0, surf.domain[1], 129)
-        grid = point_invariants(surf, us)
-        points = [point_invariants(surf, u) for u in us.tolist()]
-        for field in ("k", "delta", "delta_d1", "lam", "sigma"):
-            _assert_same_bits(getattr(grid, field), [getattr(p, field) for p in points])
+@pytest.mark.parametrize("pair", GENERAL_PAIRS, ids=["helicoid", "edlinger", "exp_pow"])
+def test_standardized_grid_invariants_equal_the_float_path(pair):
+    # exp_pow reaches exp and fractional powers, whose array rules take
+    # math's functions element by element
+    surf = standardize(*(CurveR3.from_expressions(*comps, DEFAULT_DOMAIN) for comps in pair))
+    us = np.linspace(0.0, surf.domain[1], 129)
+    grid = point_invariants(surf, us)
+    points = [point_invariants(surf, u) for u in us.tolist()]
+    for field in ("k", "delta", "delta_d1", "lam", "sigma"):
+        _assert_same_bits(getattr(grid, field), [getattr(p, field) for p in points])
+    for curve in (surf.director, surf.striction):
+        _assert_jets_same_bits(curve.eval(us), [curve.eval(u) for u in us.tolist()])
+
+
+# the slot arithmetic of standardize against its Jet2 form ------------------
+
+
+def _jet_standardized(base, director, invert):
+    """The raw director and striction evaluators of `standardize` written
+    with `Jet2` objects, as they were before its slot arithmetic: the
+    oracle that arithmetic must equal bit for bit."""
+
+    def ebar_jets(u):
+        d = director.eval(u)
+        n2 = jets.dot(d, d)
+        i = jets.first_true(n2.value < surface.TOL_DIRECTOR**2)
+        if i is not None:
+            raise DegenerateDirector(f"|d(u)| ~ 0 at u = {np.asarray(u)[i]}")
+        return jets.scale(d, 1.0 / n2.sqrt())
+
+    def speed_from(eb, u):
+        ebp = jets.deriv3(eb)
+        n2 = jets.dot(ebp, ebp)
+        i = jets.first_true(n2.value < surface.TOL_TORSAL * surface.TOL_TORSAL)
+        if i is not None:
+            raise TorsalRuling(
+                f"|e'(u)| ~ {math.sqrt(max(np.asarray(n2.value)[i], 0.0)):.3e} "
+                f"at u = {np.asarray(u)[i]}; ruling is (numerically) torsal"
+            )
+        return n2.sqrt()
+
+    def frame(t):
+        u = invert(t)
+        eb = ebar_jets(u)
+        tau = speed_from(eb, u)
+        t0, t1, t2 = tau.value, tau.d1, tau.d2
+        up = 1.0 / t0
+        return Jet2(u, up, -t1 / jets.power(t0, 3),
+                    (3.0 * t1 * t1 - t0 * t2) / jets.power(t0, 5)), eb
+
+    def director_raw(t):
+        uj, eb = frame(t)
+        return tuple(uj._compose(c.value, c.d1, c.d2, c.d3) for c in eb)
+
+    def striction_raw(t):
+        uj, eb = frame(t)
+        c = base.eval(uj.value)
+        cp = jets.deriv3(c)
+        ebp = jets.deriv3(eb)
+        m = jets.dot(cp, ebp) / jets.dot(ebp, ebp)
+        s_u = tuple(a - b for a, b in zip(c, jets.scale(eb, m)))
+        out = tuple(uj._compose(comp.value, comp.d1, comp.d2, comp.d3) for comp in s_u)
+        return tuple(Jet2(c.value, c.d1, c.d2, 0.0) for c in out)
+
+    return director_raw, striction_raw
+
+
+def _standardize_with_oracle(monkeypatch, base, director):
+    """The standardized surface and the `Jet2` oracle of its two curves,
+    on the arclength inverse the surface keeps."""
+    inverses, real = [], surface._hermite_inverse
+
+    def spy(*args):
+        inverses.append(real(*args))
+        return inverses[-1]
+
+    monkeypatch.setattr(surface, "_hermite_inverse", spy)
+    surf = standardize(base, director)
+    monkeypatch.undo()
+    return surf, _jet_standardized(base, director, inverses[-1])
+
+
+def _build_plan_general_specs(tmp_path, rounds):
+    """The general (base curve, director) specs of the first rounds of the
+    seed-7 `build` benchmark plan."""
+    import json
+    import os
+    import sys
+
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    inputs, _ = workloads.make_plan("build", 7, str(tmp_path))
+    paths = [req["argv"][2] for reqs in inputs["rounds"][:rounds] for req in reqs
+             if "--standardize" in req["argv"]]
+    specs = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            spec = json.load(fh)
+        specs.append(([spec[k] for k in ("cx", "cy", "cz")],
+                      [spec[k] for k in ("dx", "dy", "dz")], tuple(spec["domain"])))
+    return specs
+
+
+def _oracle_cases(tmp_path):
+    """(base, director, domain) of the test pairs, a pair whose director
+    orientation flips, a negative domain and the benchmark's general specs."""
+    cases = [(*pair, DEFAULT_DOMAIN) for pair in GENERAL_PAIRS]
+    base, director = GENERAL_PAIRS[1]
+    cases.append((base, tuple(f"-({c})" for c in director), DEFAULT_DOMAIN))
+    cases.append((*GENERAL_PAIRS[2], (-3.0, 1.0)))
+    return cases + _build_plan_general_specs(tmp_path, 5)
+
+
+def _slot_bits(comps):
+    """The value, d1, d2 and d3 slots of three component jets, as int64 bits
+    on a common shape (a grid broadcasts its scalar slots)."""
+    slots = [x for c in comps for x in (c.value, c.d1, c.d2, c.d3)]
+    shape = np.broadcast_shapes(*(np.shape(x) for x in slots))
+    rows = [np.broadcast_to(np.asarray(x, dtype=float), shape) for x in slots]
+    return np.array(rows).view(np.int64)
+
+
+def test_standardize_slots_equal_the_jet_rules(monkeypatch, tmp_path):
+    flips = []
+    for base_comps, dir_comps, domain in _oracle_cases(tmp_path):
+        base, director = (CurveR3.from_expressions(*comps, domain)
+                          for comps in (base_comps, dir_comps))
+        surf, (director_raw, striction_raw) = _standardize_with_oracle(
+            monkeypatch, base, director)
+        ts = np.concatenate([np.linspace(0.0, surf.domain[1], 33),
+                             np.random.default_rng(RNG_SEED).uniform(0.0, surf.domain[1], 8)])
+        # the surface's director is the raw one or its negation, exactly
+        got = _slot_bits(surf.director.raw_eval(ts))
+        flipped = not np.array_equal(got, _slot_bits(director_raw(ts)))
+        flips.append(flipped)
+        sign = -1.0 if flipped else 1.0
+
+        def oracle_director(t):
+            return tuple(sign * c for c in director_raw(t))
+
+        for curve, oracle in ((surf.director, oracle_director), (surf.striction, striction_raw)):
+            assert np.array_equal(_slot_bits(curve.raw_eval(ts)), _slot_bits(oracle(ts)))
+            for t in ts.tolist():
+                assert np.array_equal(_slot_bits(curve.raw_eval(t)), _slot_bits(oracle(t))), t
+    assert flips[1] != flips[3]  # the negated Edlinger director flips back
+
+
+def _spoil(monkeypatch, curve, u_cut, how):
+    """Make `curve` degenerate (|d| ~ 0), torsal (d' = 0) or raise a math
+    domain error where u > u_cut, on floats and on arrays alike."""
+    raw = curve.raw_eval
+
+    def spoiled(u):
+        bad = u > u_cut
+        if how == "error":
+            if np.any(bad):
+                raise ValueError("math domain error")
+            return raw(u)
+        f = np.where(bad, 1e-14 if how == "degenerate" else 0.0, 1.0)
+        f = f if isinstance(u, np.ndarray) else float(f)
+        if how == "degenerate":
+            return tuple(c * f for c in raw(u))
+        return tuple(Jet2(c.value, c.d1 * f, c.d2 * f, c.d3 * f) for c in raw(u))
+
+    monkeypatch.setattr(curve, "raw_eval", spoiled)
+
+
+@pytest.mark.parametrize("how,exc", [("degenerate", DegenerateDirector),
+                                     ("torsal", TorsalRuling),
+                                     ("error", CurveDomainError)])
+def test_standardized_errors_agree_on_floats_and_grids(monkeypatch, how, exc):
+    base, director = (CurveR3.from_expressions(*comps, DEFAULT_DOMAIN)
+                      for comps in GENERAL_PAIRS[0])
+    surf = standardize(base, director)
+    t_total = surf.domain[1]
+    _spoil(monkeypatch, director, 3.0, how)
+    ts = np.array([0.1, 0.8, 0.9]) * t_total
+    for curve in (surf.director, surf.striction):
+        messages = _same_error(lambda: curve.eval(float(ts[1])), lambda: curve.eval(ts))
+        assert messages[0] == messages[1] and "at u = " in messages[0]
+        with pytest.raises(exc):
+            curve.eval(float(ts[1]))
 
 
 def _count_raw_evals(monkeypatch, **curves):

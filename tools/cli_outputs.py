@@ -7,6 +7,9 @@ The list of calls is fixed:
 - the specs of the first `ROUNDS` rounds of the `build` benchmark plan of
   seed 7 (`perfbench/workloads.make_plan`, read only), each with the
   `--standardize` flag its plan request carries;
+- the general (base curve, director) pairs of `GENERAL`, with the
+  `--standardize` flag: they reach `exp`, a fractional power, `sqrt` of a
+  u-dependent value and a director whose orientation `standardize` flips;
 - the `generic_skew` gallery surface of seeds 0 and 1;
 - each closed-form gallery member (`CLOSED_FORM`) at the parameters
   `verify` uses, at int parameters, and at parameters drawn with seed
@@ -33,6 +36,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -54,6 +58,20 @@ CLOSED_FORM = {
                              {"alpha": (0.2, 3.0), "beta": (-3.0, -0.2)}),
 }
 DRAWN_DOMAIN = [-3.0, 1.0]
+# general pairs for --standardize: (cx, cy, cz), (dx, dy, dz) on [0, 2 pi]
+GENERAL = {
+    "helicoid": (("0.5*cos(u)*cos(u + 0.3*sin(u))", "0.5*cos(u)*sin(u + 0.3*sin(u))",
+                  "1.1*(u + 0.3*sin(u))"),
+                 ("(1.5 + 0.5*sin(u + 1))*cos(u + 0.3*sin(u))",
+                  "(1.5 + 0.5*sin(u + 1))*sin(u + 0.3*sin(u))", "0")),
+    "edlinger": (("cos(u)", "sin(u)", "0"),
+                 ("-sin(u)/sqrt(2)", "cos(u)/sqrt(2)", "1/sqrt(2)")),
+    "edlinger-flipped": (("cos(u)", "sin(u)", "0"),
+                         ("sin(u)/sqrt(2)", "-cos(u)/sqrt(2)", "-1/sqrt(2)")),
+    "exp-pow": (("2*sin(u)", "-2*cos(u)", "3*u + u^2/8"),
+                ("cos(u)", "sin(u)*(1 + u^2/9)^-0.25", "0.1*exp(u/5)")),
+    "sqrt": (("cos(u)", "sin(u)", "0.5*u"), ("-sin(u)", "cos(u)", "sqrt(1 + u^2/4)")),
+}
 
 
 def _specs(spec_dir):
@@ -64,6 +82,12 @@ def _specs(spec_dir):
     inputs, _ = workloads.make_plan("build", SEED, spec_dir)
     specs = [(req["argv"][2], "--standardize" in req["argv"])
              for reqs in inputs["rounds"][:ROUNDS] for req in reqs]
+    for name, (base, director) in GENERAL.items():
+        path = os.path.join(spec_dir, f"general-{name}.json")
+        doc = dict(zip(("cx", "cy", "cz", "dx", "dy", "dz"), base + director))
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"type": "expression", **doc, "domain": [0.0, 2.0 * math.pi]}, fh)
+        specs.append((path, True))
     gallery = [("generic_skew", f"seed-{seed}", {"seed": seed}) for seed in (0, 1)]
     rng = random.Random(SEED)
     for name, (verify, ints, ranges) in CLOSED_FORM.items():
