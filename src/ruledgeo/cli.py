@@ -7,6 +7,7 @@ validation error, 2 failing verification rows.
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -204,7 +205,9 @@ def _cmd_verify(args):
     return 0 if report.passed else 2
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process: parsing leaves it unchanged."""
     top = argparse.ArgumentParser(
         prog="ruledgeo",
         description="Skew ruled surfaces: invariants, curve families, "

@@ -172,7 +172,11 @@ class Jet2:
     def __pow__(self, p):
         if isinstance(p, Jet2):
             if not (_any(p.d1 != 0.0) or _any(p.d2 != 0.0) or _any(p.d3 != 0.0)):
-                return self.__pow__(p.value)
+                q = p.value
+                # a grid of one exponent takes the rule of that exponent at a point
+                if isinstance(q, np.ndarray) and q.size and (q == q.flat[0]).all():
+                    q = float(q.flat[0])
+                return self.__pow__(q)
             if _any(self.value <= 0.0):
                 raise ValueError("jet exponent requires a positive base")
             return (p * self.log()).exp()

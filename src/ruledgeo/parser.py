@@ -21,13 +21,14 @@ whole grid when the slots are arrays. Sharing changes no floating-point
 operation, only how often one is repeated, and the first error raised is
 the one a left-to-right walk of the trees would raise.
 
-For a float u, `straight_line` writes a program out as generated Python
-code that gives the roots' jets: one local per (register, slot), with the
-slot formulas of the `Jet2` rules in their order of operations, so its
-results are bit-identical to `Program.run` at a jet seed and its errors
-the same. Instructions on constants only are folded first. Compiled code
-is cached by the folded structure, at most `TEMPLATES` structures, the
-least recently used dropped first; the constants are bound as closure
+`straight_line` writes a program out as generated Python code that gives
+the roots' jets at an input jet, its slots floats (one point) or 1-d
+arrays (a grid): one local per (register, slot), with the slot formulas
+of the `Jet2` rules in their order of operations, so its results are
+bit-identical to `Program.run` on that jet and its errors the same.
+Instructions on constants only are folded first. Compiled code is cached
+by the folded structure, at most `TEMPLATES` structures, the least
+recently used dropped first; the constants are bound as closure
 arguments, so no text of an expression reaches the generated source.
 """
 
@@ -164,13 +165,13 @@ class Program:
     registers of the roots, in order.
     """
 
-    __slots__ = ("consts", "code", "outputs", "_at_float")
+    __slots__ = ("consts", "code", "outputs", "_straight")
 
     def __init__(self, consts, code, outputs):
         self.consts = consts
         self.code = code
         self.outputs = outputs
-        self._at_float = None
+        self._straight = None
 
     def run(self, u):
         """Values of the roots at u: a float, a `Jet2` seed or an array."""
@@ -180,13 +181,13 @@ class Program:
             append(fn(regs[a]) if b < 0 else fn(regs[a], regs[b]))
         return [regs[i] for i in self.outputs]
 
-    def float_jets(self, u):
-        """The roots' jets at a float u, from generated straight-line code
-        (`straight_line`, built at the first call): bit for bit, and error
-        for error, `[jets.as_jet(r) for r in self.run(Jet2.variable(u))]`."""
-        if self._at_float is None:
-            self._at_float = straight_line(self)
-        return self._at_float(u)
+    def jets(self, u, u1=1.0, u2=0.0, u3=0.0):
+        """The roots' jets at the input jet (u, u1, u2, u3), by default u's
+        seed, from generated straight-line code (`straight_line`, built at the
+        first call): bit for bit, and error for error, those of `run`."""
+        if self._straight is None:
+            self._straight = straight_line(self)
+        return self._straight(u, u1, u2, u3)
 
 
 def _children(node):
@@ -272,7 +273,7 @@ def compile_program(roots):
     )
 
 
-# straight-line float code ------------------------------------------------------
+# straight-line jet code --------------------------------------------------------
 
 # compiled templates kept, the least recently used dropped first
 TEMPLATES = 64
@@ -320,14 +321,16 @@ _RULES = {
         "{s} * {a1} * {a1} * {a1} + 3.0 * -{c} * {a1} * {a2} + -{s} * {a3}",
     ),
 }
-_PRELUDE = ("{s} = _sin({a0})", "{c} = _cos({a0})")  # of sin and cos, in `Jet2`'s order
+# of sin and cos, in `Jet2`'s order, from numpy on a grid and math at a point
+_PRELUDE = ("{s} = _m.sin({a0})", "{c} = _m.cos({a0})")
 
 
 def straight_line(program):
-    """Function of a float u giving the jets of `program`'s roots at u.
+    """Function `run(u, u1=1.0, u2=0.0, u3=0.0)` giving the jets of
+    `program`'s roots at the input jet with those slots.
 
     It runs generated straight-line code that repeats, bit for bit and
-    error for error, `[jets.as_jet(r) for r in program.run(Jet2.variable(u))]`
+    error for error, `[jets.as_jet(r) for r in program.run(Jet2(u, u1, u2, u3))]`
     (Taylor-mode propagation written out, as in Griewank and Walther,
     ch. 13). Instructions on constants only are folded first; the code is
     then a template for the folded structure, cached, with the constants
@@ -384,15 +387,15 @@ def _template(structure):
     """The compiled template of a folded structure: a function of the bound
     values returning the function of u. Its source holds generated names
     only, never text from an expression."""
-    namespace = {"Jet2": jets.Jet2, "_sin": math.sin, "_cos": math.cos}
+    namespace = {"Jet2": jets.Jet2, "_lib": jets._lib}
     exec(compile(_source(structure), "<straight-line code>", "exec"), namespace)
     return namespace["template"]
 
 
 def _source(structure):
     ops, outputs, n_bound = structure
-    slots = [("u", "1.0", "0.0", "0.0")]  # the names of each jet register's slots
-    body = []
+    slots = [("u", "u1", "u2", "u3")]  # the names of each jet register's slots
+    body = ["_m = _lib(u)"] if any(op in ("sin", "cos") for op, *_ in ops) else []
 
     def operand(r):
         return f"Jet2({', '.join(slots[r[1]])})" if r[0] == "j" else f"k{r[1]}"
@@ -424,7 +427,7 @@ def _source(structure):
     results = (operand(r) if r[0] == "j" else f"Jet2(k{r[1]}, 0.0, 0.0, 0.0)" for r in outputs)
     return "\n".join([
         f"def template({', '.join(f'k{i}' for i in range(n_bound))}):",
-        "    def run(u):",
+        "    def run(u, u1=1.0, u2=0.0, u3=0.0):",
         *(f"        {line}" for line in body),
         f"        return ({', '.join(results)},)",
         "    return run",
@@ -449,7 +452,7 @@ class Expression:
 
     def eval_jet(self, u):
         """Evaluate at u (a float or a 1-d array), returning a `Jet2`."""
-        return jets.as_jet(self.program.run(jets.Jet2.variable(u))[0])
+        return self.program.jets(u)[0]
 
     def __repr__(self):
         return f"Expression({self.source!r})"

@@ -84,17 +84,6 @@ def _curve_error(exc, u):
     return mapped(f"{exc.args[-1] if exc.args else exc} at u = {u}")
 
 
-def _named_errors(fn, x, u):
-    """fn(x), with a jet-level error raised as its `CurveEvaluationError`
-    naming u. One that an inner curve raised, and so named, passes as is."""
-    try:
-        return fn(x)
-    except CurveEvaluationError:
-        raise
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise _curve_error(exc, u) from None
-
-
 def _on_grid(grid_fn, point_fn, us):
     """Rows of `grid_fn(us)`, a sequence of arrays or scalars broadcast to
     the grid, as one 2-d array. Where the array rules raise or give a
@@ -140,17 +129,10 @@ class CurveR3:
     def from_expressions(cls, sx, sy, sz, domain, name=""):
         """Build from three expression strings, run as one program, so a
         subexpression the components share is computed once. A float u
-        runs the program's generated straight-line code, an array of u
-        the program itself."""
+        and an array of u both run the program's generated straight-line
+        code."""
         program = compile_program([parse_expression(s).root for s in (sx, sy, sz)])
-
-        def raw(u):
-            if not isinstance(u, np.ndarray):
-                return program.float_jets(u)
-            x, y, z = program.run(Jet2.variable(u))
-            return (jets.as_jet(x), jets.as_jet(y), jets.as_jet(z))
-
-        return cls(raw, domain, name)
+        return cls(program.jets, domain, name)
 
     def _check_domain(self, u):
         inside = (u >= self._lo) & (u <= self._hi)  # false for a NaN u
@@ -411,8 +393,18 @@ def _as_profile(p):
         c = float(p)
         return lambda u: c
     if isinstance(p, str):
-        ev = parse_expression(p).eval
-        return lambda x: _named_errors(ev, x, x.value if isinstance(x, Jet2) else x)
+        expr = parse_expression(p)
+
+        def profile(x):
+            """Values at a float or an array, jets at a `Jet2`; a jet-level
+            error raised as its `CurveEvaluationError` naming u."""
+            u = x.value if isinstance(x, Jet2) else x
+            try:
+                return expr.eval(x) if u is x else expr.program.jets(u, x.d1, x.d2, x.d3)[0]
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise _curve_error(exc, u) from None
+
+        return profile
     if callable(p):
         return p
     raise TypeError(f"cannot interpret profile {p!r}")

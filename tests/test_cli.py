@@ -89,6 +89,33 @@ def test_invariants_rejects_nonstandard_without_flag(tmp_path, capsys):
     assert run(["invariants", "--spec", bad, "--standardize", "--grid", "3"]) == 0
 
 
+def test_calls_in_one_process_share_no_arguments(tmp_path, capsys):
+    from ruledgeo.cli import build_parser
+
+    assert build_parser() is build_parser()  # built once per process
+    assert run(["gallery", "--name", "right_helicoid", "--param", "c=2.5"]) == 0
+    assert capsys.readouterr().out.startswith("right_helicoid(c=2.5)\n")
+    assert run(["gallery", "--name", "right_helicoid"]) == 0
+    assert capsys.readouterr().out.startswith("right_helicoid(c=1)\n")
+    # --standardize on one call does not carry over to the next
+    general = write_spec(tmp_path, {"type": "expression", "cx": "0", "cy": "0", "cz": "u",
+                                    "dx": "2*cos(u)", "dy": "2*sin(u)", "dz": "0",
+                                    "domain": [0.0, 6.0]})
+    assert run(["invariants", "--spec", general, "--standardize", "--grid", "3"]) == 0
+    capsys.readouterr()
+    assert run(["invariants", "--spec", general, "--grid", "3"]) == 1
+    assert "standard form" in capsys.readouterr().err
+    # a usage error, then a valid call: the output of that call on a new parser
+    valid = ["invariants", "--spec", write_spec(tmp_path, HELICOID_SPEC), "--grid", "5"]
+    build_parser.cache_clear()
+    assert run(valid) == 0
+    alone = capsys.readouterr()
+    assert run([*valid, "--format", "xml"]) == 1
+    assert "invalid choice" in capsys.readouterr().err
+    assert run(valid) == 0
+    assert capsys.readouterr() == alone
+
+
 def test_fit_command_matches_table(tmp_path):
     spec = write_spec(
         tmp_path,

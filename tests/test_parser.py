@@ -216,7 +216,12 @@ def test_program_matches_tree_walk_bit_for_bit(srcs, u, grid):
         assert got == want, (srcs, seed)
     # the generated straight-line code at a float u
     want = outcome(lambda: [as_jet(tree_eval(r, Jet2.variable(u))) for r in roots])
-    assert outcome(lambda: program.float_jets(u)) == want, (srcs, u)
+    assert outcome(lambda: program.jets(u)) == want, (srcs, u)
+    # and against the program at the grid seed and at general input jets
+    for jet in (Jet2.variable(us), Jet2(u, 0.5, -1.25, 2.0), Jet2(us, 0.5, -1.25, 2.0)):
+        want = outcome(lambda: [as_jet(r) for r in program.run(jet)])
+        got = outcome(lambda: program.jets(jet.value, jet.d1, jet.d2, jet.d3))
+        assert got == want, (srcs, jet)
     # a one-root program behind each Expression
     for s in srcs:
         expr = parse_expression(s)
@@ -286,7 +291,7 @@ def _program(*srcs):
 
 
 def _float_bits(program, u):
-    return outcome(lambda: program.float_jets(u))
+    return outcome(lambda: program.jets(u))
 
 
 def _run_bits(program, u):

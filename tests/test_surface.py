@@ -1,5 +1,6 @@
 """Gauge conservation, standardization, gallery, and invariant reconstruction."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from ruledgeo.errors import (
 from ruledgeo.families import CurveFamily
 from ruledgeo.invariants import extract_invariants, point_invariants
 from ruledgeo.jets import Jet2
+from ruledgeo.parser import parse_expression
 from ruledgeo.surface import (
     DEFAULT_DOMAIN,
     CurveR3,
@@ -852,13 +854,31 @@ def test_grid_out_of_domain_names_u():
 
 
 def test_grid_falls_back_to_points_where_only_grid_rules_fail():
-    # a constant integral exponent allows a negative base at a point, while
-    # a grid of exponents takes the fractional-power rule
-    curve = CurveR3.from_expressions("u^(2 + 0*u)", "0", "0", (-1.0, 1.0))
+    # a raw evaluator that rejects arrays: the grid is built from its points
+    def raw(u):
+        if isinstance(u, np.ndarray):
+            raise TypeError("floats only")
+        x = Jet2.variable(u)
+        return (x * x, x, Jet2.constant(0.0))
+
+    curve = CurveR3(raw, (-1.0, 1.0))
     us = np.linspace(-1.0, 1.0, 5)
     grid = curve.eval(us)
-    np.testing.assert_allclose(grid[0].value, us**2)
-    np.testing.assert_allclose(grid[0].d1, 2.0 * us)
+    _assert_jets_same_bits(grid, [curve.eval(u) for u in us.tolist()])
+    np.testing.assert_array_equal(grid[0].value, us**2)
+    np.testing.assert_array_equal(grid[0].d1, 2.0 * us)
+
+
+@pytest.mark.parametrize("cx,domain", [
+    ("(u + 1)^(0*u + 3)", (0.1, 2.0)),
+    ("u^(0*u + 2)", (0.1, 2.0)),
+    ("u^(2 + 0*u)", (-1.0, 1.0)),  # a negative base: the integer rule only
+])
+def test_grid_of_one_exponent_takes_the_point_rule(cx, domain):
+    # a zero-slope exponent whose grid values are one integral float
+    curve = CurveR3.from_expressions(cx, "0*u", "0*u", domain)
+    us = np.linspace(*domain, 2001)
+    _assert_jets_same_bits(curve.eval(us), [curve.eval(u) for u in us.tolist()])
 
 
 def test_standardize_grid_errors_name_u():
@@ -1204,6 +1224,82 @@ def test_profile_grid_equals_the_point_loop(name):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
         else:
             _assert_close(getattr(got, field), getattr(want, field))
+
+
+def _interpreted_profile(p, as_profile=surface._as_profile):
+    """`_as_profile` with an expression string's program interpreted on its
+    input, a float, an array or a `Jet2`: the path the generated code replaced."""
+    if not isinstance(p, str):
+        return as_profile(p)
+    ev = parse_expression(p).eval
+
+    def profile(x):
+        try:
+            return ev(x)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise surface._curve_error(exc, x.value if isinstance(x, Jet2) else x) from None
+
+    return profile
+
+
+class _Captured(Exception):
+    pass
+
+
+def _generic_skew_profiles(monkeypatch, seed):
+    """The arguments `generic_skew` of that seed builds its invariants from."""
+    def capture(**kw):
+        raise _Captured(kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(InvariantTriple, "from_functions", capture)
+        with pytest.raises(_Captured) as got:
+            gallery("generic_skew", seed=seed)
+    return got.value.args[0]
+
+
+_PROGRAM_PROFILES = {
+    "near_miss_delta": dict(k=1.0, delta="-(1 + 0.01*sin(u))", lam=-1.0),
+    "div_pow_exp": dict(k="0.4 + u/3 - 0.1*exp(-u/4)",
+                        delta="(2 + sin(u))^-0.5 + (u + 1)^2/8",
+                        lam="0.6 + 0.1*exp(sin(u))/(2 + cos(u))"),
+    "div_pow_exp_sigma": dict(k="u/3", delta="1 + u^2/9",
+                              sigma="0.4 + 0.1*exp(-u)/(1 + u^2)"),
+}
+
+
+def _bit_pattern(x, shape=()):
+    """The bits of a float, a jet's slots or an array (signed zeros too)."""
+    if isinstance(x, Jet2):
+        x = [np.broadcast_to(s, shape) for s in (x.value, x.d1, x.d2, x.d3)]
+    return np.array(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("name", ["generic_skew_0", "generic_skew_1", "generic_skew_2",
+                                  *_PROGRAM_PROFILES])
+def test_expression_profiles_equal_the_interpreted_program(monkeypatch, name):
+    if name.startswith("generic_skew"):
+        kw = _generic_skew_profiles(monkeypatch, int(name[-1]))
+    else:
+        kw = _PROGRAM_PROFILES[name]
+    inv = InvariantTriple.from_functions(**kw)
+    monkeypatch.setattr(surface, "_as_profile", _interpreted_profile)
+    oracle = InvariantTriple.from_functions(**kw)
+    lo, hi = inv.domain
+    us = np.linspace(lo, hi, 101)
+    for u in us.tolist():
+        for f in ("k", "delta", "lam", "sigma", "k_jet", "delta_jet", "lam_jet"):
+            got, want = getattr(inv, f)(u), getattr(oracle, f)(u)
+            assert np.array_equal(_bit_pattern(got), _bit_pattern(want)), (f, u)
+    # the profiles' jets on a grid, at its seed and at a general input jet
+    for x, f in itertools.product((Jet2.variable(us), Jet2(us, 0.5, -1.25, 2.0)),
+                                  ("_k", "_delta", "_lam")):
+        got, want = jets.as_jet(getattr(inv, f)(x)), jets.as_jet(getattr(oracle, f)(x))
+        assert np.array_equal(_bit_pattern(got, us.shape), _bit_pattern(want, us.shape)), f
+    got, want = inv.grid(lo, hi, 256), oracle.grid(lo, hi, 256)
+    for field in ProfileGrid._fields:
+        assert np.array_equal(_bit_pattern(getattr(got, field)),
+                              _bit_pattern(getattr(want, field))), field
 
 
 def test_spline_profile_grid_matches_the_spline_formulas():

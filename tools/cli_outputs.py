@@ -9,7 +9,8 @@ The list of calls is fixed:
   `--standardize` flag its plan request carries;
 - the general (base curve, director) pairs of `GENERAL`, with the
   `--standardize` flag: they reach `exp`, a fractional power, `sqrt` of a
-  u-dependent value and a director whose orientation `standardize` flips;
+  u-dependent value, a director whose orientation `standardize` flips and
+  an exponent that is a constant expression of u;
 - the `generic_skew` gallery surface of seeds 0 and 1;
 - each closed-form gallery member (`CLOSED_FORM`) at the parameters
   `verify` uses, at int parameters, and at parameters drawn with seed
@@ -71,6 +72,9 @@ GENERAL = {
     "exp-pow": (("2*sin(u)", "-2*cos(u)", "3*u + u^2/8"),
                 ("cos(u)", "sin(u)*(1 + u^2/9)^-0.25", "0.1*exp(u/5)")),
     "sqrt": (("cos(u)", "sin(u)", "0.5*u"), ("-sin(u)", "cos(u)", "sqrt(1 + u^2/4)")),
+    "const-exponent": (("2*sin(u)", "-2*cos(u)",
+                        "2*u + (u + 2)^(0*u + 3)/40 + (u + 2)^(0*u + 5)/400"),
+                       ("cos(u)", "sin(u)", "0.2")),
 }
 
 
